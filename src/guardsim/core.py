@@ -127,7 +127,10 @@ class DemandStream:
     def __post_init__(self) -> None:
         prev = -math.inf
         for d in self.demands:
-            if d.t_arr <= prev:
+            if not prev < d.t_arr < math.inf:
+                if not math.isfinite(d.t_arr):
+                    raise ContractViolationError(
+                        f"demand {d.id}: arrival time {d.t_arr} is not finite")
                 raise ContractViolationError(
                     f"demand {d.id}: arrival times must be strictly increasing"
                 )
@@ -137,6 +140,8 @@ class DemandStream:
                 raise ContractViolationError(
                     f"demand {d.id}: abscissa {d.x} outside [0, {self.env.W}]"
                 )
+        if len({d.id for d in self.demands}) != len(self.demands):
+            raise ContractViolationError("demand ids must be unique")
 
     def __len__(self) -> int:
         return len(self.demands)

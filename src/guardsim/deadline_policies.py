@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Demand, DemandStream, VehicleState
-from .errors import ParameterDomainError, RegimeError
+from .errors import ContractViolationError, ParameterDomainError, RegimeError
 from .reachability import PathPlan, build_reach_graph, longest_chain_fast, longest_path
 
 # above this many demands the O(n^2) graph is replaced by the O(n log n)
@@ -218,7 +218,10 @@ class _DeadlineSim:
                     break
                 self._fire_escape(i_e, t_e)
             break
-        assert self.n_capt + self.n_esc == len(self.demands)
+        if self.n_capt + self.n_esc != len(self.demands):
+            raise ContractViolationError(
+                f"{self.n_capt} captures + {self.n_esc} escapes "
+                f"!= {len(self.demands)} demands")
         return RunResult(self.n_capt, self.n_esc, trace=self.events)
 
 

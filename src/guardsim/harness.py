@@ -23,6 +23,14 @@ POLICIES = ("nclp", "lp", "gp", "tf")
 ESTIMATOR_NOTE = "mean of per-run capture fractions (runs simulated to quiescence)"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: a policy, an environment, and replication controls."""
@@ -39,18 +47,28 @@ class ExperimentSpec:
         if self.policy not in POLICIES:
             raise ParameterDomainError(
                 f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if not isinstance(self.runs, int) or self.runs < 1:
+        if not isinstance(self.env, EnvParams):
+            raise ParameterDomainError(f"env must be an EnvParams, got {self.env!r}")
+        if not _is_int(self.runs) or self.runs < 1:
             raise ParameterDomainError(f"runs must be a positive int, got {self.runs!r}")
-        if not isinstance(self.n_demands, int) or self.n_demands < 0:
+        if not _is_int(self.n_demands) or self.n_demands < 0:
             raise ParameterDomainError(
                 f"n_demands must be a non-negative int, got {self.n_demands!r}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ParameterDomainError(f"eta must be in (0, 1], got {self.eta!r}")
+        if not _is_int(self.base_seed) or self.base_seed < 0:
+            raise ParameterDomainError(
+                f"base_seed must be a non-negative int, got {self.base_seed!r}")
+        if not _is_number(self.eta) or not 0.0 < self.eta <= 1.0:
+            raise ParameterDomainError(f"eta must be a number in (0, 1], got {self.eta!r}")
         if self.policy == "tf" and self.env.v >= 1.0:
             raise RegimeError("the tf policy needs v < 1")
         if self.policy in ("nclp", "lp", "gp") and self.env.v < 1.0:
             raise RegimeError(f"the {self.policy} policy needs v >= 1")
         if self.sweep is not None:
+            if not (isinstance(self.sweep, (tuple, list)) and len(self.sweep) == 3
+                    and all(_is_number(b) and math.isfinite(b) for b in self.sweep)):
+                raise ParameterDomainError(
+                    f"sweep must be three finite numbers (lam_min, lam_max, step), "
+                    f"got {self.sweep!r}")
             lo, hi, step = self.sweep
             if not (lo > 0 and hi >= lo and step > 0):
                 raise ParameterDomainError(f"bad sweep grid {self.sweep!r}")

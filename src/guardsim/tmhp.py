@@ -25,7 +25,7 @@ from .errors import (ContractViolationError, ParameterDomainError, RegimeError,
 EXACT_SOLVER_CAP = 13        # Held-Karp subset table stays under 2^13 * 13 cells
 
 _IMPROVE_EPS = 1e-12         # accepted local-search moves must beat this
-_SMALL_HEURISTIC_CAP = 64    # above this, drop or-opt and vectorize 2-opt
+_SMALL_HEURISTIC_CAP = 64    # above this, drop or-opt and use matrix-free 2-opt
 
 
 def _check_speed(v: float) -> None:
@@ -145,17 +145,39 @@ def emhp_exact(s, points, f):
     return order, float(best_len)
 
 
-def _nn_order(D: np.ndarray, n: int, first: int) -> list[int]:
-    """Nearest-neighbor order over point indices 0..n-1, seeded with first."""
+def _dists(px, py, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Distances from (px, py) to each (X[k], Y[k]).
+
+    The operations of _dist_matrix in the same order, done in place, so each
+    value equals the matrix entry bit for bit (the matrix is exactly
+    symmetric, and x ** 2 is x * x).
+    """
+    dx = px - X
+    dx *= dx
+    dy = py - Y
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def _edge_lengths(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Lengths of the legs (X[k], Y[k]) -> (X[k+1], Y[k+1])."""
+    return _dists(X[:-1], Y[:-1], X[1:], Y[1:])
+
+
+def _nn_order(X: np.ndarray, Y: np.ndarray, first: int) -> list[int]:
+    """Nearest-neighbor order over the points (X[k], Y[k]), seeded with first.
+
+    A visited point moves to infinity, so its distance is inf, as in a
+    masked matrix row; argmin takes the first of equal minima.
+    """
+    X, Y = X.copy(), Y.copy()
     order = [first]
-    left = np.ones(n, dtype=bool)
-    left[first] = False
     cur = first
-    for _ in range(n - 1):
-        row = D[cur + 1, 1:n + 1].copy()
-        row[~left] = np.inf
-        cur = int(np.argmin(row))
-        left[cur] = False
+    for _ in range(len(X) - 1):
+        px, py = X[cur], Y[cur]
+        X[cur] = Y[cur] = np.inf
+        cur = int(np.argmin(_dists(px, py, X, Y)))
         order.append(cur)
     return order
 
@@ -213,35 +235,44 @@ def _descent_small(D: np.ndarray, n: int, order: list[int], budget: int) -> int:
     return budget
 
 
-def _two_opt_rows(D: np.ndarray, seq: np.ndarray, budget: int,
-                  closed: bool) -> int:
-    """Vectorized 2-opt sweeps on seq (node ids into D), best move per row.
+def _two_opt(X: np.ndarray, Y: np.ndarray, seq: np.ndarray, budget: int) -> int:
+    """Matrix-free 2-opt on an open path, best move per row, in place.
 
-    Open paths keep seq[0] and seq[-1] fixed; closed tours fix seq[0] as the
-    anchor and include the wraparound edge.
+    X, Y hold the coordinates in path order and seq the node ids; the first
+    and last entries stay fixed.  Row i reverses seq[i..j] for the j that
+    minimizes the length change.  Edge lengths E[k] = |seq[k] seq[k+1]| are
+    kept up to date, so a row computes only the distances from its two
+    endpoints, and a row without a move hands its second array to the next
+    row as the first.  Memory is O(n).  Returns the unspent move budget.
     """
-    m = len(seq)
-    hi = m if closed else m - 1          # reversal segment may end at hi-1
+    m = len(X)
+    E = _edge_lengths(X, Y)
     improved = True
     while improved and budget > 0:
         improved = False
-        for i in range(1, hi - 1):
-            a_prev, a = seq[i - 1], seq[i]
-            B = seq[i:hi - 1 + 1]        # candidates seq[i..hi-1] as segment end
-            Bn = np.empty_like(B)
-            Bn[:-1] = seq[i + 1:hi]
-            Bn[-1] = seq[0] if closed and hi == m else seq[hi]
-            # delta of reversing seq[i..j] for each j
-            deltas = D[a_prev, B] + D[a, Bn] - D[a_prev, a] - D[B, Bn]
-            k = int(np.argmin(deltas))
+        d1 = None                        # |seq[i-1] seq[j]| for j = i..m-2
+        for i in range(1, m - 2):
+            if d1 is None:
+                d1 = _dists(X[i - 1], Y[i - 1], X[i:-1], Y[i:-1])
+            d2 = _dists(X[i], Y[i], X[i + 1:], Y[i + 1:])    # |seq[i] seq[j+1]|
+            deltas = d1 + d2             # ((d1 + d2) - E[i-1]) - E[j]; the order fixes rounding
+            deltas -= E[i - 1]
+            deltas -= E[i:]
+            k = int(deltas.argmin())
             if deltas[k] < -_IMPROVE_EPS:
                 j = i + k
                 seq[i:j + 1] = seq[i:j + 1][::-1]
+                X[i:j + 1] = X[i:j + 1][::-1]
+                Y[i:j + 1] = Y[i:j + 1][::-1]
+                E[i:j] = E[i:j][::-1]
+                E[i - 1], E[j] = d1[k], d2[k]
                 budget -= 1
                 improved = True
+                d1 = None
                 if budget <= 0:
                     break
-        # last interior index for open paths: handled above since hi-1 bound
+            else:
+                d1 = d2[:-1]
     return budget
 
 
@@ -249,23 +280,24 @@ def emhp_heuristic(s, points, f):
     """Good s -> points -> f path: nearest-neighbor starts plus local search.
 
     Small instances try several construction seeds and polish with 2-opt and
-    segment relocation; large ones run one seed with vectorized 2-opt.  The
-    accepted-move budget is 50*n^2.  Never better than emhp_exact, usually
-    equal for small n.
+    segment relocation; large ones run one seed with a matrix-free 2-opt,
+    O(n) memory.  The accepted-move budget is 50*n^2.  Never better than
+    emhp_exact, usually equal for small n.
     """
     n = len(points)
     all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
-    D = _dist_matrix(all_pts)
-    if n == 0:
-        return [], float(D[0, 1])
-    if n == 1:
-        return [0], _path_length(D, n, [0])
-    budget = 50 * n * n
+    X, Y = all_pts[1:n + 1, 0], all_pts[1:n + 1, 1]
     if n <= _SMALL_HEURISTIC_CAP:
+        D = _dist_matrix(all_pts)
+        if n == 0:
+            return [], float(D[0, 1])
+        if n == 1:
+            return [0], _path_length(D, n, [0])
+        budget = 50 * n * n
         seeds = list(np.argsort(D[0, 1:n + 1], kind="stable")[:min(4, n)])
         best_order, best_len = None, math.inf
         for c in seeds:
-            order = _nn_order(D, n, int(c))
+            order = _nn_order(X, Y, int(c))
             budget = _descent_small(D, n, order, budget)
             length = _path_length(D, n, order)
             if length < best_len:
@@ -273,39 +305,34 @@ def emhp_heuristic(s, points, f):
             if budget <= 0:
                 break
         return best_order, best_len
-    order = _nn_order(D, n, int(np.argmin(D[0, 1:n + 1])))
-    seq = np.array([0] + [i + 1 for i in order] + [n + 1], dtype=np.intp)
-    _two_opt_rows(D, seq, budget, closed=False)
-    order = [int(k) - 1 for k in seq[1:-1]]
-    return order, _path_length(D, n, order)
+    first = int(np.argmin(_dists(all_pts[0, 0], all_pts[0, 1], X, Y)))
+    seq = np.array([0] + [i + 1 for i in _nn_order(X, Y, first)] + [n + 1],
+                   dtype=np.intp)
+    X, Y = all_pts[seq, 0], all_pts[seq, 1]
+    _two_opt(X, Y, seq, 50 * n * n)
+    # accumulate adds left to right, as _path_length does
+    length = float(np.add.accumulate(_edge_lengths(X, Y))[-1])
+    return [int(k) - 1 for k in seq[1:-1]], length
 
 
 def tour_two_opt(points, seed_point: int = 0):
-    """Closed tour over all points: nearest neighbor plus vectorized 2-opt.
+    """Closed tour over all points: nearest neighbor plus matrix-free 2-opt.
 
-    Returns (order, length).  Used for spot checks against the expected
-    sqrt(n * A) scaling of optimal tours over uniform points.
+    The tour is the open path from seed_point back to itself, so the same
+    2-opt kernel runs in O(n) memory.  Returns (order, length).  Used for
+    spot checks against the expected sqrt(n * A) scaling of optimal tours
+    over uniform points.
     """
     pts = np.array([tuple(p) for p in points], dtype=float)
     n = len(pts)
     if n < 2:
         return list(range(n)), 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    D = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    left = np.ones(n, dtype=bool)
-    left[seed_point] = False
-    order = [seed_point]
-    cur = seed_point
-    for _ in range(n - 1):
-        row = D[cur].copy()
-        row[~left] = np.inf
-        cur = int(np.argmin(row))
-        left[cur] = False
-        order.append(cur)
-    seq = np.array(order, dtype=np.intp)
-    _two_opt_rows(D, seq, 50 * n * n, closed=True)
-    length = float(D[seq[:-1], seq[1:]].sum() + D[seq[-1], seq[0]])
-    return [int(i) for i in seq], length
+    seq = np.array(_nn_order(pts[:, 0], pts[:, 1], seed_point) + [seed_point],
+                   dtype=np.intp)
+    X, Y = pts[seq, 0], pts[seq, 1]
+    _two_opt(X, Y, seq, 50 * n * n)
+    E = _edge_lengths(X, Y)
+    return [int(i) for i in seq[:-1]], float(E[:-1].sum() + E[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -509,5 +536,7 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
             leg = (t, pos, pos, 0.0)
             advance(t, inclusive_arrivals=True)
 
-    assert n_capt + n_esc == len(demands)
+    if n_capt + n_esc != len(demands):
+        raise ContractViolationError(
+            f"{n_capt} captures + {n_esc} escapes != {len(demands)} demands")
     return RunResult(n_capt, n_esc, trace=events)

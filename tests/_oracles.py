@@ -138,6 +138,90 @@ def emhp_brute(s, points, f):
     return float(lengths[best]), [int(i) for i in P[best]]
 
 
+def _dense_dist_matrix(all_pts: np.ndarray) -> np.ndarray:
+    diff = all_pts[:, None, :] - all_pts[None, :, :]
+    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+
+
+def _dense_nn_order(D: np.ndarray, first: int) -> list[int]:
+    """Nearest-neighbor order over the rows of D, seeded with first."""
+    n = len(D)
+    order = [first]
+    left = np.ones(n, dtype=bool)
+    left[first] = False
+    cur = first
+    for _ in range(n - 1):
+        row = D[cur].copy()
+        row[~left] = np.inf
+        cur = int(np.argmin(row))
+        left[cur] = False
+        order.append(cur)
+    return order
+
+
+def _dense_two_opt_rows(D: np.ndarray, seq: np.ndarray, budget: int,
+                        closed: bool) -> int:
+    """Vectorized 2-opt sweeps on seq (node ids into D), best move per row.
+
+    Open paths keep seq[0] and seq[-1] fixed; closed tours fix seq[0] as the
+    anchor and include the wraparound edge.
+    """
+    m = len(seq)
+    hi = m if closed else m - 1          # reversal segment may end at hi-1
+    improved = True
+    while improved and budget > 0:
+        improved = False
+        for i in range(1, hi - 1):
+            a_prev, a = seq[i - 1], seq[i]
+            B = seq[i:hi]                # candidates seq[i..hi-1] as segment end
+            Bn = np.empty_like(B)
+            Bn[:-1] = seq[i + 1:hi]
+            Bn[-1] = seq[0] if closed and hi == m else seq[hi]
+            deltas = D[a_prev, B] + D[a, Bn] - D[a_prev, a] - D[B, Bn]
+            k = int(np.argmin(deltas))
+            if deltas[k] < -1e-12:
+                j = i + k
+                seq[i:j + 1] = seq[i:j + 1][::-1]
+                budget -= 1
+                improved = True
+                if budget <= 0:
+                    break
+    return budget
+
+
+def emhp_heuristic_dense(s, points, f):
+    """The large-n emhp_heuristic path on a dense (n+2)^2 distance matrix.
+
+    Nearest neighbor from the point closest to s, then full-row 2-opt on
+    matrix lookups, then a left-to-right fold of the path length.  The
+    package's matrix-free kernel must return the same (order, length) bit
+    for bit.
+    """
+    n = len(points)
+    all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
+    D = _dense_dist_matrix(all_pts)
+    order = _dense_nn_order(D[1:n + 1, 1:n + 1], int(np.argmin(D[0, 1:n + 1])))
+    seq = np.array([0] + [i + 1 for i in order] + [n + 1], dtype=np.intp)
+    _dense_two_opt_rows(D, seq, 50 * n * n, closed=False)
+    total = D[seq[0], seq[1]]
+    for k in range(1, len(seq) - 1):
+        total += D[seq[k], seq[k + 1]]
+    return [int(k) - 1 for k in seq[1:-1]], float(total)
+
+
+def tour_two_opt_dense(points, seed_point: int = 0):
+    """Closed nearest-neighbor + 2-opt tour on a dense distance matrix."""
+    pts = np.array([tuple(p) for p in points], dtype=float)
+    n = len(pts)
+    if n < 2:
+        return list(range(n)), 0.0
+    D = _dense_dist_matrix(pts)
+    seq = np.array(_dense_nn_order(D, seed_point), dtype=np.intp)
+    _dense_two_opt_rows(D, seq, 50 * n * n, closed=True)
+    length = float(D[seq[:-1], seq[1:]].sum() + D[seq[-1], seq[0]])
+    return [int(i) for i in seq], length
+
+
 # ---------------------------------------------------------------------------
 # error function
 

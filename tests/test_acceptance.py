@@ -223,6 +223,7 @@ def test_criterion_09_emhp_oracles():
                           f"heuristic worst ratio {worst_ratio:.4f} (limit 1.05)")
 
 
+@pytest.mark.slow
 def test_criterion_10_tf_bound_sandwich():
     # The bounds are steady-state statements, so each run is scored only on
     # demands arriving in [2B, t_last - B), B = L/(2v) the sweep budget: this

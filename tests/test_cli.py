@@ -150,6 +150,17 @@ def test_cli_malformed_json_files(tmp_path, capsys):
     assert err.startswith("error:") and "'f'" in err
 
 
+def test_cli_spec_field_of_wrong_type(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"policy": "lp", "env": {"W": 50.0, "L": 200.0, "v": 2.0, "lam": 0.8},
+         "eta": "x", "n_demands": 10, "runs": 1}))
+    rc = main(["simulate", "--spec", str(spec_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eta" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "guardsim", "bounds", "--v", "2", "--lam", "1",

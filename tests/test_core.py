@@ -81,6 +81,37 @@ def test_stream_validation():
     assert len(s) == 1
 
 
+@pytest.mark.parametrize("t_arr", [math.nan, math.inf, -math.inf])
+def test_stream_rejects_non_finite_arrival(t_arr):
+    env = make_env(W=10, L=20, v=1, lam=1)
+    with pytest.raises(ContractViolationError):
+        DemandStream(env, 0, [Demand(0, 1.0, 5.0), Demand(1, t_arr, 6.0)])
+    with pytest.raises(ContractViolationError):
+        DemandStream(env, 0, [Demand(0, t_arr, 5.0), Demand(1, 2.0, 6.0)])
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_stream_rejects_non_finite_abscissa(x):
+    env = make_env(W=10, L=20, v=1, lam=1)
+    with pytest.raises(ContractViolationError):
+        DemandStream(env, 0, [Demand(0, 1.0, 5.0), Demand(1, 2.0, x)])
+
+
+def test_stream_rejects_duplicate_ids():
+    env = make_env(W=10, L=20, v=1, lam=1)
+    with pytest.raises(ContractViolationError):
+        DemandStream(env, 0, [Demand(0, 1.0, 5.0), Demand(1, 2.0, 6.0),
+                              Demand(0, 3.0, 7.0)])
+
+
+def test_read_stream_rejects_non_finite_arrival(tmp_path):
+    path = tmp_path / "nan.jsonl"
+    path.write_text('{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}, "seed": 0}\n'
+                    '{"id": 0, "t_arr": NaN, "x": 5.0}\n')
+    with pytest.raises(ContractViolationError):
+        read_stream_jsonl(str(path))
+
+
 def test_generate_stream_reproducible():
     env = make_env(W=10, L=20, v=0.5, lam=2.0)
     a = generate_stream(env, 200, seed=42)

@@ -41,6 +41,16 @@ def test_spec_validation():
         ExperimentSpec(policy="nclp", env=SLOW)
 
 
+def test_spec_rejects_badly_typed_fields():
+    for kwargs in (dict(eta="x"), dict(eta=None), dict(eta=True), dict(runs=True),
+                   dict(runs=2.0), dict(n_demands="10"), dict(base_seed=-1),
+                   dict(base_seed=1.5), dict(sweep=(0.5, "2", 0.5)),
+                   dict(sweep=(0.5, 2.0)), dict(sweep=(0.5, float("inf"), 0.5)),
+                   dict(env={"W": 1.0})):
+        with pytest.raises(ParameterDomainError):
+            ExperimentSpec(**{"policy": "lp", "env": FAST, **kwargs})
+
+
 def test_lambda_grid():
     spec = ExperimentSpec(policy="gp", env=FAST, sweep=(0.5, 2.0, 0.5))
     assert spec.lambdas() == pytest.approx([0.5, 1.0, 1.5, 2.0])

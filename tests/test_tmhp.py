@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardsim import (
     Demand,
@@ -23,7 +25,8 @@ from guardsim import (
     tour_two_opt,
 )
 
-from ._oracles import check_trace, emhp_brute
+from ._oracles import (check_trace, emhp_brute, emhp_heuristic_dense,
+                       tour_two_opt_dense)
 
 
 def test_g_map_identity_limit():
@@ -164,6 +167,44 @@ def test_tour_two_opt_square():
     assert sorted(order) == [0, 1, 2, 3]
     assert abs(length - 4.0) < 1e-12
     assert tour_two_opt([(2.0, 2.0)]) == ([0], 0.0)
+
+
+def _cloud(n, seed, grid):
+    """n points in [0, 10)^2; grid > 0 snaps them to a grid-spaced lattice,
+    which makes duplicate points, collinear runs and tied distances."""
+    pts = np.random.default_rng(seed).random((n + 2, 2)) * 10
+    if grid:
+        pts = np.round(pts / grid) * grid
+    return [tuple(map(float, p)) for p in pts]
+
+
+_GRIDS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(65, 400), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
+def test_emhp_heuristic_large_equals_dense_reference(n, seed, grid):
+    # the matrix-free kernel makes the dense kernel's moves: same order and
+    # the same float length, ties included
+    pts = _cloud(n, seed, grid)
+    s, f = pts.pop(), pts.pop()
+    assert emhp_heuristic(s, pts, f) == emhp_heuristic_dense(s, pts, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2**32 - 1), grid=_GRIDS,
+       anchor=st.integers(0, 2))
+def test_tour_two_opt_equals_dense_reference(n, seed, grid, anchor):
+    pts = _cloud(n, seed, grid)[:n]
+    assert tour_two_opt(pts, anchor) == tour_two_opt_dense(pts, anchor)
+
+
+def test_emhp_heuristic_equals_dense_reference_1500_points():
+    pts = _cloud(1500, 38, 0.0)
+    s, f = pts.pop(), pts.pop()
+    order, length = emhp_heuristic(s, pts, f)
+    assert sorted(order) == list(range(1500))
+    assert (order, length) == emhp_heuristic_dense(s, pts, f)
 
 
 def test_tmhp_solve_empty_points():
