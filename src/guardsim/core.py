@@ -210,15 +210,26 @@ def write_stream_jsonl(stream: DemandStream, path: str) -> None:
             fh.write(json.dumps({"id": d.id, "t_arr": d.t_arr, "x": d.x}) + "\n")
 
 
+def _parse_record(path: str, no: int, line: str, build):
+    """build(json record of one line), with a malformed line reported as a
+    ContractViolationError that names the file and line."""
+    try:
+        return build(json.loads(line))
+    except ParameterDomainError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContractViolationError(
+            f"{path}, line {no}: malformed record ({exc!r})") from None
+
+
 def read_stream_jsonl(path: str) -> DemandStream:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1)
+                 if ln.strip()]
     if not lines:
         raise ContractViolationError(f"{path}: empty stream file")
-    header = json.loads(lines[0])
-    env = make_env(**header["env"])
-    demands = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        demands.append(Demand(int(rec["id"]), float(rec["t_arr"]), float(rec["x"])))
-    return DemandStream(env=env, seed=int(header["seed"]), demands=demands)
+    env, seed = _parse_record(path, *lines[0],
+                              lambda r: (make_env(**r["env"]), int(r["seed"])))
+    demands = [_parse_record(path, no, ln, lambda r: Demand(
+        int(r["id"]), float(r["t_arr"]), float(r["x"]))) for no, ln in lines[1:]]
+    return DemandStream(env=env, seed=seed, demands=demands)

@@ -15,7 +15,7 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,8 @@ class _DeadlineSim:
         if env.v < 1.0:
             raise RegimeError(f"deadline policies need v >= 1, got v={env.v}")
         self.env = env
-        self.demands = [replace(d) for d in stream]   # private copies
+        self.demands = [Demand(d.id, d.t_arr, d.x, d.status, d.resolve_time)
+                        for d in stream]   # private copies
         self.by_id = {d.id: d for d in self.demands}
         self.pending = deque(self.demands)            # arrivals in time order
         self.outstanding: dict[int, Demand] = {}

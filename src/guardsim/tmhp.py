@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from .errors import (ContractViolationError, ParameterDomainError, RegimeError,
 EXACT_SOLVER_CAP = 13        # Held-Karp subset table stays under 2^13 * 13 cells
 
 _IMPROVE_EPS = 1e-12         # accepted local-search moves must beat this
-_SMALL_HEURISTIC_CAP = 64    # above this, drop or-opt and use matrix-free 2-opt
+_SMALL_HEURISTIC_CAP = 64    # above this, search only near-neighbour moves
+_NEIGHBOURS = 10             # candidate list length of the large-n search
+_NEIGHBOUR_CHUNK = 1 << 13   # candidate pairs _neighbours examines at once
 
 
 def _check_speed(v: float) -> None:
@@ -160,11 +162,6 @@ def _dists(px, py, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def _edge_lengths(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Lengths of the legs (X[k], Y[k]) -> (X[k+1], Y[k+1])."""
-    return _dists(X[:-1], Y[:-1], X[1:], Y[1:])
-
-
 def _nn_order(X: np.ndarray, Y: np.ndarray, first: int) -> list[int]:
     """Nearest-neighbor order over the points (X[k], Y[k]), seeded with first.
 
@@ -235,57 +232,296 @@ def _descent_small(D: np.ndarray, n: int, order: list[int], budget: int) -> int:
     return budget
 
 
-def _two_opt(X: np.ndarray, Y: np.ndarray, seq: np.ndarray, budget: int) -> int:
-    """Matrix-free 2-opt on an open path, best move per row, in place.
+def _neighbours(X: np.ndarray, Y: np.ndarray, k: int):
+    """The k nearest other points of each point (X[i], Y[i]), nearest first.
 
-    X, Y hold the coordinates in path order and seq the node ids; the first
-    and last entries stay fixed.  Row i reverses seq[i..j] for the j that
-    minimizes the length change.  Edge lengths E[k] = |seq[k] seq[k+1]| are
-    kept up to date, so a row computes only the distances from its two
-    endpoints, and a row without a move hands its second array to the next
-    row as the first.  Memory is O(n).  Returns the unspent move budget.
+    Distance ties go to the smaller index, so the lists are exact and
+    deterministic.  Points are bucketed on a uniform grid of about two points
+    a cell.  A point collects the cells within R of its own (R = 2 at first)
+    and keeps its k nearest candidates when the k-th lies within R cell
+    widths, since no point outside those cells is closer; the others retry
+    with R doubled.  Returns (index, distance) arrays of shape (m, k), with
+    k cut to m - 1.  Memory is O(m * k) plus the candidates of a chunk.
     """
     m = len(X)
-    E = _edge_lengths(X, Y)
-    improved = True
-    while improved and budget > 0:
-        improved = False
-        d1 = None                        # |seq[i-1] seq[j]| for j = i..m-2
-        for i in range(1, m - 2):
-            if d1 is None:
-                d1 = _dists(X[i - 1], Y[i - 1], X[i:-1], Y[i:-1])
-            d2 = _dists(X[i], Y[i], X[i + 1:], Y[i + 1:])    # |seq[i] seq[j+1]|
-            deltas = d1 + d2             # ((d1 + d2) - E[i-1]) - E[j]; the order fixes rounding
-            deltas -= E[i - 1]
-            deltas -= E[i:]
-            k = int(deltas.argmin())
-            if deltas[k] < -_IMPROVE_EPS:
-                j = i + k
-                seq[i:j + 1] = seq[i:j + 1][::-1]
-                X[i:j + 1] = X[i:j + 1][::-1]
-                Y[i:j + 1] = Y[i:j + 1][::-1]
-                E[i:j] = E[i:j][::-1]
-                E[i - 1], E[j] = d1[k], d2[k]
-                budget -= 1
-                improved = True
-                d1 = None
-                if budget <= 0:
+    k = min(k, m - 1)
+    wx, wy = float(X.max() - X.min()), float(Y.max() - Y.min())
+    h = max(math.sqrt(2.0 * wx * wy / m), 2.0 * max(wx, wy) / m) or 1.0
+    cx = ((X - X.min()) / h).astype(np.intp)
+    cy = ((Y - Y.min()) / h).astype(np.intp)
+    gx, gy = int(cx.max()) + 1, int(cy.max()) + 1
+    by_cell = np.argsort(cx * gy + cy, kind="stable")
+    # points of cells c0..c1-1 are by_cell[start[c0]:start[c1]]
+    start = np.zeros(gx * gy + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cx * gy + cy, minlength=gx * gy), out=start[1:])
+    # cell coordinates may round across a cell border by a few ulps
+    slack = 1e-9 * (h + float(np.abs(X).max()) + float(np.abs(Y).max()))
+    idx = np.empty((m, k), dtype=np.intp)
+    dist = np.empty((m, k))
+    todo = np.arange(m)
+    R = 2
+    while len(todo):
+        # per point, one run of by_cell for each cell column within R
+        cols = cx[todo, None] + np.arange(-R, R + 1)
+        inside = (cols >= 0) & (cols < gx)
+        cols = np.clip(cols, 0, gx - 1) * gy
+        lo = start[cols + np.maximum(cy[todo, None] - R, 0)]
+        cnt = start[cols + np.minimum(cy[todo, None] + R, gy - 1) + 1] - lo
+        cnt[~inside] = 0
+        per_point = cnt.sum(axis=1)
+        full = R >= max(gx, gy)
+        failed = []
+        # chunks of points with similar candidate counts pad little
+        by_count = np.argsort(per_point, kind="stable")
+        for rows in np.array_split(by_count, -(-len(todo) * max(int(per_point.max()), k)
+                                              // _NEIGHBOUR_CHUNK)):
+            pts, per = todo[rows], per_point[rows]
+            c, first = cnt[rows].ravel(), lo[rows].ravel()
+            ends = np.cumsum(c)
+            cand = by_cell[np.repeat(first - ends + c, c) + np.arange(ends[-1])]
+            row = np.repeat(np.arange(len(rows)), per)
+            col = np.arange(len(cand)) - np.repeat(np.cumsum(per) - per, per)
+            # rows of candidates, padded with (inf, m); order by (distance, index)
+            C = np.full((len(rows), max(int(per.max()), k)), m, dtype=np.intp)
+            C[row, col] = cand
+            C.sort(axis=1)
+            src = pts[:, None]
+            D = _dists(X[src], Y[src], X[np.minimum(C, m - 1)], Y[np.minimum(C, m - 1)])
+            D[(C == src) | (C == m)] = np.inf
+            o = np.argsort(D, axis=1, kind="stable")[:, :k]
+            D = np.take_along_axis(D, o, axis=1)
+            # too few candidates leave an inf k-th distance, which fails
+            ok = np.ones(len(rows), dtype=bool) if full else D[:, -1] <= R * h - slack
+            idx[pts[ok]] = np.take_along_axis(C, o, axis=1)[ok]
+            dist[pts[ok]] = D[ok]
+            failed.append(pts[~ok])
+        todo = np.concatenate(failed)
+        R *= 2
+    return idx, dist
+
+
+def _improvable(X, Y, seq, E, nbr, nbd) -> list[int]:
+    """Nodes from which _local_search has an improving move, in path order.
+
+    The same candidate moves, pruning and float expressions as the node
+    examination in _local_search, evaluated for every node at once in
+    numpy: seq is the path as node ids, E its leg lengths and nbr, nbd the
+    neighbour lists of _neighbours.  Memory is O(m * k).
+    """
+    m = len(seq)
+    pos = np.empty(m, dtype=np.intp)
+    pos[seq] = np.arange(m)
+    # path data padded by 3 at each end: S[k + 3] = seq[k], L[k + 3] = E[k];
+    # no pad entry passes the masks below
+    S = np.array(seq[:1] * 3 + seq + seq[-1:] * 3)
+    L = np.array([0.0] * 3 + E + [0.0] * 4)
+    XS, YS = X[S], Y[S]
+    P, Q = pos + 3, pos[nbr] + 3                 # padded positions of a, c
+
+    def dist(u, w):
+        dx = XS[u] - XS[w]
+        dy = YS[u] - YS[w]
+        return np.sqrt(dx * dx + dy * dy)
+
+    found = np.zeros(m, dtype=bool)
+    # 2-opt: a-b and c-e give way to a-c and b-e
+    for step in (1, -1):
+        back = int(step < 0)
+        b, dab = P + step, L[P - back]
+        a, k = np.nonzero(((3 <= b) & (b < m + 3))[:, None] & (nbd < dab[:, None])
+                          & (3 <= Q + step) & (Q + step < m + 3))
+        b, e, q = b[a], Q[a, k] + step, Q[a, k]
+        ok = (S[q] != S[b]) & (S[e] != a)
+        ok &= (nbd[a, k] + dist(b, e)) - (dab[a] + L[q - back]) < -_IMPROVE_EPS
+        found[a[ok]] = True
+    # Or-opt: seq[i..j] leaves prev-nxt and goes in beside c
+    for lo, hi in ((0, 0), (0, 1), (-1, 0), (0, 2), (-2, 0)):
+        i, j = P + lo, P + hi
+        gain = (L[i - 1] + L[j]) - dist(i - 1, j + 1)
+        a, k = np.nonzero(((3 < P) & (P < m + 2) & (4 <= i) & (j <= m + 1))[:, None]
+                          & (nbd < gain[:, None]))
+        i, j, gain, q, dac = i[a], j[a], gain[a], Q[a, k], nbd[a, k]
+        t = j if lo == 0 else i                  # the end away from a
+        after_c = ((q <= i - 2) | ((j < q) & (q < m + 2))) & (
+            ((dac + dist(t, q + 1)) - L[q]) - gain < -_IMPROVE_EPS)
+        before_c = (((3 < q) & (q < i)) | (q > j + 1)) & (
+            ((dist(q - 1, t) + dac) - L[q - 1]) - gain < -_IMPROVE_EPS)
+        found[a[after_c | before_c]] = True
+    flagged = np.flatnonzero(found)
+    return flagged[np.argsort(pos[flagged])].tolist()
+
+
+def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int) -> int:
+    """2-opt and Or-opt over nearest-neighbour candidates, in place.
+
+    X, Y hold the coordinates by node id and seq the path as node ids; its
+    first and last nodes stay fixed.  A move is tried only when one of its
+    new edges joins a node a to one of a's _NEIGHBOURS nearest nodes c, and
+    only while |ac| is shorter than what a's side of the move removes:
+    - 2-opt: a's edge to its successor b (or predecessor) and c's edge on
+      the same side, c-e, give way to a-c and b-e;
+    - Or-opt: a segment of 1-3 nodes with a at one end moves next to c,
+      between c and its successor or between c's predecessor and c, in the
+      orientation that puts a beside c.
+    Nodes wait in a queue (don't-look bits).  A node's first improving move
+    is applied, and the nodes of the changed edges go back on the queue.
+    A reversal also flips which moves are valid at nodes whose own edges
+    did not change, so the queue alone can stop early: it starts with, and
+    whenever it empties is refilled with, the nodes that _improvable finds.
+    On return no candidate move shortens the path by more than
+    _IMPROVE_EPS, unless the accepted-move budget ran out.  Memory is
+    O(m * _NEIGHBOURS).  Returns the unspent budget.
+    """
+    m = len(seq)
+    near_idx, near_d = _neighbours(X, Y, _NEIGHBOURS)
+    nbr, nbd = near_idx.tolist(), near_d.tolist()
+    xs, ys = X.tolist(), Y.tolist()
+    pos = [0] * m
+    for k, a in enumerate(seq):
+        pos[a] = k
+
+    def d(a, b):
+        dx = xs[a] - xs[b]
+        dy = ys[a] - ys[b]
+        return math.sqrt(dx * dx + dy * dy)
+
+    E = [d(a, b) for a, b in zip(seq, seq[1:])]     # E[k] = |seq[k] seq[k+1]|
+
+    def place(lo, hi):
+        for k in range(lo, hi + 1):
+            pos[seq[k]] = k
+
+    def two_opt(a):
+        p = pos[a]
+        for step, back in ((1, 0), (-1, 1)):   # a's successor edge, then its predecessor edge
+            if not 0 <= p + step < m:
+                continue
+            b = seq[p + step]
+            dab = E[p - back]
+            for c, dac in zip(nbr[a], nbd[a]):
+                if dac >= dab:
                     break
+                q = pos[c]
+                if not 0 <= q + step < m:
+                    continue
+                e = seq[q + step]
+                if c == b or e == a:
+                    continue
+                dbe = d(b, e)
+                if (dac + dbe) - (dab + E[q - back]) < -_IMPROVE_EPS:
+                    lo, hi = (p, q) if p < q else (q, p)
+                    lo, hi = lo + 1 - back, hi - back
+                    seq[lo:hi + 1] = seq[lo:hi + 1][::-1]
+                    E[lo:hi] = E[lo:hi][::-1]
+                    E[lo - 1], E[hi] = (dbe, dac) if back else (dac, dbe)
+                    place(lo, hi)
+                    return a, b, c, e
+        return None
+
+    def or_opt(a):
+        p = pos[a]
+        if p == 0 or p == m - 1:
+            return None
+        near = nbd[a][0]
+        # segments seq[i..j] of 1-3 nodes with a at one end
+        for i, j in ((p, p), (p, p + 1), (p - 1, p), (p, p + 2), (p - 2, p)):
+            if i < 1 or j > m - 2:
+                continue
+            # the loop below tries c only while |ac| < gain = cut - |prev nxt|
+            cut = E[i - 1] + E[j]
+            room = cut - near
+            if room <= 0.0:
+                continue
+            prev, nxt = seq[i - 1], seq[j + 1]
+            dx = xs[prev] - xs[nxt]
+            dy = ys[prev] - ys[nxt]
+            dpn = dx * dx + dy * dy
+            if dpn > (room + 1e-9 * cut) ** 2:     # gain < |ac| for every c
+                continue
+            dpn = math.sqrt(dpn)
+            gain = cut - dpn
+            t = seq[j] if i == p else seq[i]      # the end away from a
+            move = None
+            for c, dac in zip(nbr[a], nbd[a]):
+                if dac >= gain:
+                    break
+                q = pos[c]
+                # c, a .. t, w: between c and its successor w
+                if q <= i - 2 or j < q < m - 1:
+                    w = seq[q + 1]
+                    if ((dac + d(t, w)) - E[q]) - gain < -_IMPROVE_EPS:
+                        move = q, i == p          # (insert after, keep path order)
+                        break
+                # w, t .. a, c: between c's predecessor w and c
+                if 0 < q < i or q > j + 1:
+                    w = seq[q - 1]
+                    if ((d(w, t) + dac) - E[q - 1]) - gain < -_IMPROVE_EPS:
+                        move = q - 1, i != p
+                        break
+            if move is None:
+                continue
+            r, forward = move
+            u, w = seq[r], seq[r + 1]
+            block, inner = seq[i:j + 1], E[i:j]
+            if not forward:
+                block.reverse()
+                inner.reverse()
+            joined = [d(u, block[0])] + inner + [d(block[-1], w)]
+            if r < i:
+                seq[r + 1:j + 1] = block + seq[r + 1:i]
+                E[r:j + 1] = joined + E[r + 1:i - 1] + [dpn]
+                place(r + 1, j)
             else:
-                d1 = d2[:-1]
+                seq[i:r + 1] = seq[j + 1:r + 1] + block
+                E[i - 1:r + 1] = [dpn] + E[j + 1:r] + joined
+                place(i, r)
+            return prev, nxt, a, t, u, w
+        return None
+
+    queue = deque()
+    queued = [False] * m
+    moved = True
+    while budget > 0:
+        if not queue:
+            if not moved:        # only if _improvable and the examination disagree
+                break
+            moved = False
+            queue.extend(_improvable(X, Y, seq, E, near_idx, near_d))
+            for a in queue:
+                queued[a] = True
+            continue
+        a = queue.popleft()
+        queued[a] = False
+        touched = two_opt(a) or or_opt(a)
+        if touched:
+            budget -= 1
+            moved = True
+            for t in touched:
+                if not queued[t]:
+                    queued[t] = True
+                    queue.append(t)
     return budget
+
+
+def _fold_length(P: np.ndarray) -> float:
+    """Length of the path through the rows of P, legs added left to right."""
+    return float(np.add.accumulate(_dists(P[:-1, 0], P[:-1, 1], P[1:, 0], P[1:, 1]))[-1])
 
 
 def emhp_heuristic(s, points, f):
     """Good s -> points -> f path: nearest-neighbor starts plus local search.
 
     Small instances try several construction seeds and polish with 2-opt and
-    segment relocation; large ones run one seed with a matrix-free 2-opt,
-    O(n) memory.  The accepted-move budget is 50*n^2.  Never better than
-    emhp_exact, usually equal for small n.
+    segment relocation over all pairs.  Large ones (over 64 points) run one
+    seed, then 2-opt and Or-opt moves whose new edge joins a node to one of
+    its 10 nearest neighbours, examined from a queue of nodes with changed
+    edges (_local_search); memory is O(10 n).  The accepted-move budget is
+    50*n^2.  Never better than emhp_exact, usually equal for small n.
     """
     n = len(points)
     all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
+    if not np.isfinite(all_pts).all():
+        raise ParameterDomainError("emhp_heuristic needs finite coordinates")
     X, Y = all_pts[1:n + 1, 0], all_pts[1:n + 1, 1]
     if n <= _SMALL_HEURISTIC_CAP:
         D = _dist_matrix(all_pts)
@@ -306,33 +542,35 @@ def emhp_heuristic(s, points, f):
                 break
         return best_order, best_len
     first = int(np.argmin(_dists(all_pts[0, 0], all_pts[0, 1], X, Y)))
-    seq = np.array([0] + [i + 1 for i in _nn_order(X, Y, first)] + [n + 1],
-                   dtype=np.intp)
-    X, Y = all_pts[seq, 0], all_pts[seq, 1]
-    _two_opt(X, Y, seq, 50 * n * n)
-    # accumulate adds left to right, as _path_length does
-    length = float(np.add.accumulate(_edge_lengths(X, Y))[-1])
-    return [int(k) - 1 for k in seq[1:-1]], length
+    seq = [0] + [i + 1 for i in _nn_order(X, Y, first)] + [n + 1]
+    _local_search(all_pts[:, 0], all_pts[:, 1], seq, 50 * n * n)
+    return [k - 1 for k in seq[1:-1]], _fold_length(all_pts[seq])
 
 
 def tour_two_opt(points, seed_point: int = 0):
-    """Closed tour over all points: nearest neighbor plus matrix-free 2-opt.
+    """Closed tour over all points: nearest neighbor plus local search.
 
-    The tour is the open path from seed_point back to itself, so the same
-    2-opt kernel runs in O(n) memory.  Returns (order, length).  Used for
-    spot checks against the expected sqrt(n * A) scaling of optimal tours
-    over uniform points.
+    The tour starts at seed_point, an index into points (0 for an empty
+    list), and is the open path from it back to a copy of it, so it gets
+    emhp_heuristic's large-n search (_local_search) whatever n is.  Returns
+    (order, length), the legs added left to right.  Used for spot checks
+    against the expected sqrt(n * A) scaling of optimal tours over uniform
+    points.
     """
     pts = np.array([tuple(p) for p in points], dtype=float)
     n = len(pts)
+    if isinstance(seed_point, bool) or not isinstance(seed_point, (int, np.integer)) \
+            or not 0 <= seed_point < max(n, 1):
+        raise ParameterDomainError(
+            f"seed_point must be an int in [0, {n}), got {seed_point!r}")
     if n < 2:
         return list(range(n)), 0.0
-    seq = np.array(_nn_order(pts[:, 0], pts[:, 1], seed_point) + [seed_point],
-                   dtype=np.intp)
-    X, Y = pts[seq, 0], pts[seq, 1]
-    _two_opt(X, Y, seq, 50 * n * n)
-    E = _edge_lengths(X, Y)
-    return [int(i) for i in seq[:-1]], float(E[:-1].sum() + E[-1])
+    if not np.isfinite(pts).all():
+        raise ParameterDomainError("tour_two_opt needs finite coordinates")
+    seq = _nn_order(pts[:, 0], pts[:, 1], int(seed_point)) + [n]
+    pts = np.vstack([pts, pts[seed_point]])        # node n: the anchor again
+    _local_search(pts[:, 0], pts[:, 1], seq, 50 * n * n)
+    return seq[:-1], _fold_length(pts[seq])
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +592,16 @@ class TmhpInstance:
 
     def __post_init__(self):
         _check_speed(self.v)
+        for name, pts in (("s", [self.s]), ("points", self.points), ("f", [self.f])):
+            for p in pts:
+                try:
+                    x, y = p
+                    ok = math.isfinite(x) and math.isfinite(y)
+                except (TypeError, ValueError):
+                    ok = False
+                if not ok:
+                    raise ParameterDomainError(
+                        f"{name}: expected finite (x, y) coordinates, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -416,7 +664,7 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
     v, L = env.v, env.L
     pos = (env.W / 2.0, L / 2.0) if start is None else (float(start[0]), float(start[1]))
     t = 0.0
-    demands = [replace(d) for d in stream]
+    demands = [Demand(d.id, d.t_arr, d.x, d.status, d.resolve_time) for d in stream]
     by_id = {d.id: d for d in demands}
     pending = deque(demands)
     outstanding: dict[int, Demand] = {}

@@ -189,24 +189,28 @@ def _dense_two_opt_rows(D: np.ndarray, seq: np.ndarray, budget: int,
     return budget
 
 
+def _dense_nn_path(D: np.ndarray, n: int) -> list[int]:
+    """Nearest-neighbor s -> points -> f path as rows of D (s = 0, f = n+1),
+    from the point closest to s."""
+    order = _dense_nn_order(D[1:n + 1, 1:n + 1], int(np.argmin(D[0, 1:n + 1])))
+    return [0] + [i + 1 for i in order] + [n + 1]
+
+
 def emhp_heuristic_dense(s, points, f):
-    """The large-n emhp_heuristic path on a dense (n+2)^2 distance matrix.
+    """The large-n emhp_heuristic path before neighbour lists, on a dense
+    (n+2)^2 distance matrix.
 
     Nearest neighbor from the point closest to s, then full-row 2-opt on
     matrix lookups, then a left-to-right fold of the path length.  The
-    package's matrix-free kernel must return the same (order, length) bit
-    for bit.
+    package's neighbour-list search must come within a fixed factor of it
+    in total length.
     """
     n = len(points)
     all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
     D = _dense_dist_matrix(all_pts)
-    order = _dense_nn_order(D[1:n + 1, 1:n + 1], int(np.argmin(D[0, 1:n + 1])))
-    seq = np.array([0] + [i + 1 for i in order] + [n + 1], dtype=np.intp)
+    seq = np.array(_dense_nn_path(D, n), dtype=np.intp)
     _dense_two_opt_rows(D, seq, 50 * n * n, closed=False)
-    total = D[seq[0], seq[1]]
-    for k in range(1, len(seq) - 1):
-        total += D[seq[k], seq[k + 1]]
-    return [int(k) - 1 for k in seq[1:-1]], float(total)
+    return [int(k) - 1 for k in seq[1:-1]], fold_length(all_pts, seq)
 
 
 def tour_two_opt_dense(points, seed_point: int = 0):
@@ -220,6 +224,105 @@ def tour_two_opt_dense(points, seed_point: int = 0):
     _dense_two_opt_rows(D, seq, 50 * n * n, closed=True)
     length = float(D[seq[:-1], seq[1:]].sum() + D[seq[-1], seq[0]])
     return [int(i) for i in seq], length
+
+
+def fold_length(coords, seq) -> float:
+    """Length of the path through coords[seq[0]], coords[seq[1]], ...,
+    legs added left to right."""
+    P = np.asarray(coords, dtype=float)[list(seq)]
+    legs = np.sqrt((P[:-1, 0] - P[1:, 0]) ** 2 + (P[:-1, 1] - P[1:, 1]) ** 2)
+    total = legs[0]
+    for leg in legs[1:]:
+        total += leg
+    return float(total)
+
+
+def emhp_nn_start(s, points, f) -> list[int]:
+    """The nearest-neighbor s -> points -> f path that emhp_heuristic
+    starts from, as node ids (s = 0, point i = i + 1, f = n + 1)."""
+    n = len(points)
+    all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
+    return _dense_nn_path(_dense_dist_matrix(all_pts), n)
+
+
+def tour_nn_start(points, seed_point: int) -> list[int]:
+    """The nearest-neighbor closed tour that tour_two_opt starts from, as
+    point indices ending with seed_point again."""
+    D = _dense_dist_matrix(np.array([tuple(p) for p in points], dtype=float))
+    return _dense_nn_order(D, seed_point) + [seed_point]
+
+
+def _point_dist(P):
+    """Distance between points u and w of P as sqrt(dx*dx + dy*dy)."""
+    def d(u, w):
+        dx = P[u][0] - P[w][0]
+        dy = P[u][1] - P[w][1]
+        return math.sqrt(dx * dx + dy * dy)
+    return d
+
+
+def knn_brute(coords, k: int):
+    """The k nearest other points of each point by exhaustive comparison,
+    as (distance, index) pairs in (distance, index) order."""
+    P = [(float(x), float(y)) for x, y in coords]
+    d = _point_dist(P)
+    return [sorted((d(a, c), c) for c in range(len(P)) if c != a)[:k]
+            for a in range(len(P))]
+
+
+def improving_candidate_moves(coords, seq, k: int = 10, tol: float = 1e-9):
+    """Candidate moves of the neighbour-list local search that shorten the
+    path seq (node ids into coords; first and last fixed) by more than tol.
+
+    A candidate joins a node a to one of its k nearest nodes c (knn_brute):
+    - 2-opt: a's edge a-b to its successor (or predecessor) and c's edge on
+      the same side, c-e, become a-c and b-e; tried while |ac| < |ab|.
+    - Or-opt: 1-3 consecutive inner nodes with a at one end leave prev-nxt
+      and go in, a beside c, on a path edge at c that touches none of them;
+      tried while |ac| < |prev first| + |last nxt| - |prev nxt|.
+    Each delta is summed from the changed legs.  Returns (kind, a, c,
+    delta) tuples, empty at a local optimum.
+    """
+    d = _point_dist([(float(x), float(y)) for x, y in coords])
+    near = knn_brute(coords, k)
+    m = len(seq)
+    pos = {node: k for k, node in enumerate(seq)}
+    found = []
+    for a in seq:
+        p = pos[a]
+        for dac, c in near[a]:
+            q = pos[c]
+            for step in (1, -1):
+                if 0 <= p + step < m and 0 <= q + step < m:
+                    b, e = seq[p + step], seq[q + step]
+                    if c != b and e != a and dac < d(a, b):
+                        delta = (dac + d(b, e)) - (d(a, b) + d(c, e))
+                        if delta < -tol:
+                            found.append(("2-opt", a, c, delta))
+        if p in (0, m - 1):
+            continue
+        for ell in (1, 2, 3):
+            for i in {p, p - ell + 1}:
+                j = i + ell - 1
+                if i < 1 or j > m - 2:
+                    continue
+                seg = seq[i:j + 1]
+                far = seg[-1] if seg[0] == a else seg[0]
+                prev, nxt = seq[i - 1], seq[j + 1]
+                gain = (d(prev, seg[0]) + d(seg[-1], nxt)) - d(prev, nxt)
+                for dac, c in near[a]:
+                    q = pos[c]
+                    if not dac < gain or i <= q <= j:
+                        continue
+                    # the segment goes in on the path edge c-o, a beside c
+                    for r in (q + 1, q - 1):
+                        if not 0 <= r < m or i - 1 <= min(q, r) <= j:
+                            continue
+                        o = seq[r]
+                        cost = (dac + d(far, o)) - d(c, o)
+                        if cost - gain < -tol:
+                            found.append(("or-opt", a, c, cost - gain))
+    return found
 
 
 # ---------------------------------------------------------------------------

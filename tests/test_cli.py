@@ -150,6 +150,30 @@ def test_cli_malformed_json_files(tmp_path, capsys):
     assert err.startswith("error:") and "'f'" in err
 
 
+def test_cli_malformed_stream_record(tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    path.write_text('{"env": {"W": 10, "L": 20, "v": 2, "lam": 1}, "seed": 0}\n'
+                    '{"id": 0, "t_arr": 1.0, "x": 2.0}\n'
+                    '{"id": 1, "t_arr": 2.0}\n')
+    rc = main(["graph", "--stream", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err and "'x'" in err
+
+
+def test_cli_tmhp_solve_non_finite_coordinates(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    for field, value in (("points", [[1.0, float("nan")], [2.0, 2.0]]),
+                         ("s", [float("inf"), 0.0]), ("f", [3.0, float("nan")])):
+        raw = {"s": [0.0, 0.0], "points": [[1.0, 1.0]], "f": [3.0, 3.0], "v": 0.5}
+        raw[field] = value
+        inst_path.write_text(json.dumps(raw))       # json writes NaN and Infinity
+        rc = main(["tmhp-solve", "--instance", str(inst_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "finite" in err
+
+
 def test_cli_spec_field_of_wrong_type(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(

@@ -112,6 +112,30 @@ def test_read_stream_rejects_non_finite_arrival(tmp_path):
         read_stream_jsonl(str(path))
 
 
+@pytest.mark.parametrize("lines, bad_line", [
+    (['{"id": 0, "t_arr": 1.0, "x": 2.0}', '', '{"id": 1, "t_arr": 2.0}'], 4),
+    (['{"id": 0, "t_arr": "soon", "x": 2.0}'], 2),
+    (['{"id": 0, "t_arr": null, "x": 2.0}'], 2),
+    (['[0, 1.0, 2.0]'], 2),
+    (['{"id": 0, "t_arr": 1.0, "x": 2.0'], 2),
+], ids=["missing-x", "text", "null", "not-an-object", "not-json"])
+def test_read_stream_rejects_malformed_record(tmp_path, lines, bad_line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(['{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}, "seed": 0}']
+                              + lines) + "\n")
+    with pytest.raises(ContractViolationError, match=f"line {bad_line}:"):
+        read_stream_jsonl(str(path))
+
+
+def test_read_stream_rejects_malformed_header(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for header in ('{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}}',
+                   '{"seed": 0}', '{"env": [10, 20, 1, 1], "seed": 0}'):
+        path.write_text(header + '\n{"id": 0, "t_arr": 1.0, "x": 2.0}\n')
+        with pytest.raises(ContractViolationError, match="line 1:"):
+            read_stream_jsonl(str(path))
+
+
 def test_generate_stream_reproducible():
     env = make_env(W=10, L=20, v=0.5, lam=2.0)
     a = generate_stream(env, 200, seed=42)

@@ -25,8 +25,11 @@ from guardsim import (
     tour_two_opt,
 )
 
+from guardsim.tmhp import _improvable, _neighbours
+
 from ._oracles import (check_trace, emhp_brute, emhp_heuristic_dense,
-                       tour_two_opt_dense)
+                       emhp_nn_start, fold_length, improving_candidate_moves,
+                       knn_brute, tour_nn_start, tour_two_opt_dense)
 
 
 def test_g_map_identity_limit():
@@ -181,30 +184,108 @@ def _cloud(n, seed, grid):
 _GRIDS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
 
 
+def _check_path(s, pts, f):
+    # a permutation, its left-to-right length, no longer than the
+    # nearest-neighbor start, and no improving candidate move left
+    order, length = emhp_heuristic(s, pts, f)
+    n = len(pts)
+    assert sorted(order) == list(range(n))
+    coords = [s] + pts + [f]
+    seq = [0] + [i + 1 for i in order] + [n + 1]
+    assert length == fold_length(coords, seq)
+    assert length <= fold_length(coords, emhp_nn_start(s, pts, f))
+    assert improving_candidate_moves(coords, seq) == []
+
+
+def _check_tour(pts, anchor):
+    order, length = tour_two_opt(pts, anchor)
+    n = len(pts)
+    assert sorted(order) == list(range(n)) and order[0] == anchor
+    # the closed tour is the open path back to a copy of the anchor
+    coords, seq = pts + [pts[anchor]], order + [n]
+    assert length == fold_length(coords, seq)
+    assert length <= fold_length(pts, tour_nn_start(pts, anchor))
+    assert improving_candidate_moves(coords, seq) == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(65, 400), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
-def test_emhp_heuristic_large_equals_dense_reference(n, seed, grid):
-    # the matrix-free kernel makes the dense kernel's moves: same order and
-    # the same float length, ties included
+def test_emhp_heuristic_large_local_optimum(n, seed, grid):
     pts = _cloud(n, seed, grid)
     s, f = pts.pop(), pts.pop()
-    assert emhp_heuristic(s, pts, f) == emhp_heuristic_dense(s, pts, f)
+    _check_path(s, pts, f)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 300), seed=st.integers(0, 2**32 - 1), grid=_GRIDS,
        anchor=st.integers(0, 2))
-def test_tour_two_opt_equals_dense_reference(n, seed, grid, anchor):
-    pts = _cloud(n, seed, grid)[:n]
-    assert tour_two_opt(pts, anchor) == tour_two_opt_dense(pts, anchor)
+def test_tour_two_opt_local_optimum(n, seed, grid, anchor):
+    _check_tour(_cloud(n, seed, grid)[:n], anchor)
 
 
-def test_emhp_heuristic_equals_dense_reference_1500_points():
-    pts = _cloud(1500, 38, 0.0)
+@pytest.mark.parametrize("pts", [
+    [(3.0, 4.0)] * 120,                                   # all identical
+    [(0.25 * ((7 * i) % 150), 2.0) for i in range(150)],  # one line, shuffled
+    [(float(i % 9), float(i % 9)) for i in range(100)],   # a diagonal, repeated
+], ids=["identical", "line", "diagonal"])
+def test_local_search_degenerate_clouds(pts):
+    _check_path(pts[0], pts[1:-1], pts[-1])
+    _check_tour(pts, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), grid=_GRIDS,
+       spread=st.sampled_from([(1.0, 1.0), (1.0, 1e-3), (1e4, 1.0)]))
+def test_neighbours_equal_brute_force(n, seed, grid, spread):
+    pts = np.array(_cloud(n, seed, grid)[:n]) * spread
+    idx, dist = _neighbours(pts[:, 0], pts[:, 1], 10)
+    brute = knn_brute(pts, 10)
+    assert idx.tolist() == [[c for _, c in row] for row in brute]
+    assert dist.tolist() == [[dc for dc, _ in row] for row in brute]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
+def test_improvable_nodes_match_oracle(n, seed, grid):
+    # on the nearest-neighbor start: the nodes the vectorised scan flags are
+    # those with an improving candidate move, at the kernel's own threshold
+    pts = _cloud(n, seed, grid)
     s, f = pts.pop(), pts.pop()
-    order, length = emhp_heuristic(s, pts, f)
-    assert sorted(order) == list(range(1500))
-    assert (order, length) == emhp_heuristic_dense(s, pts, f)
+    coords = np.array([s] + pts + [f])
+    seq = emhp_nn_start(s, pts, f)
+    E = [fold_length(coords, [a, b]) for a, b in zip(seq, seq[1:])]
+    nbr, nbd = _neighbours(coords[:, 0], coords[:, 1], 10)
+    flagged = _improvable(coords[:, 0], coords[:, 1], seq, E, nbr, nbd)
+    moves = improving_candidate_moves(coords, seq, tol=1e-12)
+    assert set(flagged) == {a for _, a, _, _ in moves}
+
+
+def test_heuristic_length_within_one_percent_of_dense_reference():
+    # fixed seeds: in total over the grid, the neighbour-list search is at
+    # most 1% longer than the full-row 2-opt it replaced, open and closed
+    path = ref_path = tour = ref_tour = 0.0
+    for n in (100, 300, 700, 1500):
+        for seed in range(3):
+            for grid in (0.0, 0.5):
+                pts = _cloud(n, seed, grid)
+                s, f = pts.pop(), pts.pop()
+                path += emhp_heuristic(s, pts, f)[1]
+                ref_path += emhp_heuristic_dense(s, pts, f)[1]
+                tour += tour_two_opt(pts)[1]
+                ref_tour += tour_two_opt_dense(pts)[1]
+    assert path <= 1.01 * ref_path
+    assert tour <= 1.01 * ref_tour
+
+
+def test_tour_two_opt_seed_point_domain():
+    pts = [(0.0, 0.0), (5.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    for bad in (-2, 4, 7, 1.0, True, "0", None):
+        with pytest.raises(ParameterDomainError):
+            tour_two_opt(pts, bad)
+    with pytest.raises(ParameterDomainError):
+        tour_two_opt([], 1)
+    assert tour_two_opt([]) == ([], 0.0)
+    assert tour_two_opt(pts, np.int64(3))[0][0] == 3
 
 
 def test_tmhp_solve_empty_points():
@@ -212,6 +293,28 @@ def test_tmhp_solve_empty_points():
     sol = tmhp_solve(inst)
     assert sol.order == ()
     assert abs(sol.duration - intercept_time((1.0, 5.0), (4.0, 1.0), 0.3)) < 1e-12
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s", (math.nan, 1.0)), ("s", (0.0, math.inf)), ("f", (-math.inf, 0.0)),
+    ("points", ((1.0, 2.0), (math.nan, 3.0))), ("points", ((1.0, 2.0, 3.0),)),
+    ("f", ("x", 1.0)), ("points", (5.0,)),
+])
+def test_tmhp_instance_rejects_bad_coordinates(field, value):
+    raw = dict(s=(1.0, 5.0), points=((2.0, 2.0),), f=(4.0, 1.0), v=0.3)
+    raw[field] = value
+    with pytest.raises(ParameterDomainError, match=f"^{field}: "):
+        tmhp_solve(TmhpInstance(**raw))
+
+
+def test_heuristics_reject_non_finite_points():
+    pts = [(float(i), float(i % 7)) for i in range(80)]
+    for bad in ((math.nan, 1.0), (2.0, math.inf)):
+        for n in (5, 80):                           # small and large search
+            with pytest.raises(ParameterDomainError):
+                emhp_heuristic((0.0, 0.0), pts[:n] + [bad], (1.0, 1.0))
+        with pytest.raises(ParameterDomainError):
+            tour_two_opt(pts + [bad])
 
 
 def test_tmhp_identity_random():
