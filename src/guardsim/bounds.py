@@ -18,66 +18,14 @@ from .errors import ParameterDomainError, RegimeError
 # Beardwood-Halton-Hammersley tour constant; empirical value, configurable.
 BETA_TSP = 0.7120
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _SQRT_PI = math.sqrt(math.pi)
-
-# Series/continued-fraction crossover.  At |x| = 3 the alternating series
-# still cancels to ~1e-14 absolute error; beyond it the complementary
-# continued fraction converges in a few dozen terms.
-_ERF_SERIES_CUTOFF = 3.0
 
 
 def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt.
-
-    Absolute accuracy 1e-10 or better everywhere: Maclaurin series for
-    |x| <= 3, Lentz-evaluated continued fraction for erfc beyond.
-    """
+    """Error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt (math.erf)."""
     if not math.isfinite(x):
         raise ParameterDomainError(f"erf requires finite x, got {x!r}")
-    ax = abs(x)
-    if ax <= _ERF_SERIES_CUTOFF:
-        val = _TWO_OVER_SQRT_PI * _erf_series(ax)
-    else:
-        val = 1.0 - _erfc_cf(ax)
-    return -val if x < 0 else val
-
-
-def _erf_series(ax: float) -> float:
-    # sum_{n>=0} (-1)^n ax^(2n+1) / (n! (2n+1)); c_n = c_{n-1} * (-ax^2)/n
-    total = 0.0
-    c = ax
-    n = 0
-    while True:
-        term = c / (2 * n + 1)
-        total += term
-        n += 1
-        c *= -ax * ax / n
-        if abs(c) / (2 * n + 1) < 1e-18 * max(1.0, abs(total)):
-            return total
-
-
-def _erfc_cf(ax: float) -> float:
-    # A&S 7.1.14: sqrt(pi) e^{x^2} erfc(x) = 1/(x+ (1/2)/(x+ 1/(x+ (3/2)/(x+ ...))))
-    # evaluated with the modified Lentz algorithm.
-    tiny = 1e-300
-    f = ax if ax != 0.0 else tiny
-    c = f
-    d = 0.0
-    for k in range(1, 400):
-        a_k = k / 2.0
-        d = ax + a_k * d
-        if d == 0.0:
-            d = tiny
-        c = ax + a_k / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-ax * ax) / (_SQRT_PI * f)
+    return math.erf(x)
 
 
 def _require_positive(**kwargs: float) -> None:

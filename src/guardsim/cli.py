@@ -122,20 +122,8 @@ def _cmd_tmhp_solve(args) -> int:
 def _cmd_gen_stream(args) -> int:
     env = make_env(W=args.W, L=args.L, v=args.v, lam=args.lam)
     stream = generate_stream(env, args.n_demands, args.seed)
-    if args.out:
-        write_stream_jsonl(stream, args.out)
-    else:
-        for line in _stream_lines(stream):
-            sys.stdout.write(line + "\n")
+    write_stream_jsonl(stream, args.out or sys.stdout)
     return 0
-
-
-def _stream_lines(stream):
-    env = stream.env
-    yield json.dumps({"env": {"W": env.W, "L": env.L, "v": env.v, "lam": env.lam},
-                      "seed": stream.seed, "n": len(stream)})
-    for d in stream:
-        yield json.dumps({"id": d.id, "t_arr": d.t_arr, "x": d.x})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
@@ -197,17 +198,21 @@ def region_count(
 # JSON lines: a header record with the environment and seed, then one
 # record {id, t_arr, x} per demand.  Floats round-trip exactly (repr).
 
-def write_stream_jsonl(stream: DemandStream, path: str) -> None:
+def write_stream_jsonl(stream: DemandStream, out) -> None:
+    """Write stream to out, a file path or an open text file."""
+    if isinstance(out, (str, bytes, os.PathLike)):
+        with open(out, "w", encoding="utf-8") as fh:
+            write_stream_jsonl(stream, fh)
+        return
     env = stream.env
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "env": {"W": env.W, "L": env.L, "v": env.v, "lam": env.lam},
-            "seed": stream.seed,
-            "n": len(stream),
-        }
-        fh.write(json.dumps(header) + "\n")
-        for d in stream.demands:
-            fh.write(json.dumps({"id": d.id, "t_arr": d.t_arr, "x": d.x}) + "\n")
+    header = {
+        "env": {"W": env.W, "L": env.L, "v": env.v, "lam": env.lam},
+        "seed": stream.seed,
+        "n": len(stream),
+    }
+    out.write(json.dumps(header) + "\n")
+    for d in stream.demands:
+        out.write(json.dumps({"id": d.id, "t_arr": d.t_arr, "x": d.x}) + "\n")
 
 
 def _parse_record(path: str, no: int, line: str, build):

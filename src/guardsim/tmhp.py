@@ -36,12 +36,16 @@ def _check_speed(v: float) -> None:
         raise ParameterDomainError(f"translation speed must lie in (0, 1), got {v!r}")
 
 
-def g_map(point, v: float):
-    """(x, y) -> (x / sqrt(1 - v^2), y / (1 - v^2)); distance-to-time map."""
-    _check_speed(v)
+def _g_map(point, v: float):
     x, y = point
     c = 1.0 - v * v
     return (x / math.sqrt(c), y / c)
+
+
+def g_map(point, v: float):
+    """(x, y) -> (x / sqrt(1 - v^2), y / (1 - v^2)); distance-to-time map."""
+    _check_speed(v)
+    return _g_map(point, v)
 
 
 def g_inv(point, v: float):
@@ -60,6 +64,10 @@ def intercept_time(vehicle, target_initial, v: float) -> float:
     exactly; the aim point sits at distance exactly T from the vehicle.
     """
     _check_speed(v)
+    return _intercept_time(vehicle, target_initial, v)
+
+
+def _intercept_time(vehicle, target_initial, v: float) -> float:
     X, Y = vehicle
     x, y = target_initial
     c = 1.0 - v * v
@@ -162,11 +170,17 @@ def _dists(px, py, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
+def _nearest(px, py, X: np.ndarray, Y: np.ndarray) -> int:
+    """Index of the point nearest to (px, py), the first of equal minima."""
+    return int(np.argmin(_dists(px, py, X, Y)))
+
+
 def _nn_order(X: np.ndarray, Y: np.ndarray, first: int) -> list[int]:
     """Nearest-neighbor order over the points (X[k], Y[k]), seeded with first.
 
     A visited point moves to infinity, so its distance is inf, as in a
-    masked matrix row; argmin takes the first of equal minima.
+    masked matrix row.  One full scan per step, O(n^2) in all; only the
+    n <= 64 search starts from it (_nn_path is the large-n start).
     """
     X, Y = X.copy(), Y.copy()
     order = [first]
@@ -174,9 +188,39 @@ def _nn_order(X: np.ndarray, Y: np.ndarray, first: int) -> list[int]:
     for _ in range(len(X) - 1):
         px, py = X[cur], Y[cur]
         X[cur] = Y[cur] = np.inf
-        cur = int(np.argmin(_dists(px, py, X, Y)))
+        cur = _nearest(px, py, X, Y)
         order.append(cur)
     return order
+
+
+def _nn_path(X: np.ndarray, Y: np.ndarray, nbr: list, first: int, last: int) -> list[int]:
+    """_nn_order's path from first through every node but last, then last.
+
+    nbr holds _neighbours' lists, exact and ordered by (distance, index)
+    with _dists' arithmetic, so a step takes the first unvisited node of
+    the current node's list.  Only a step whose list is all visited scans
+    every node.  O(n * k) plus O(n) per such step.
+    """
+    left = [True] * len(X)
+    left[first] = left[last] = False
+    Xv, Yv = X.copy(), Y.copy()
+    Xv[last] = Yv[last] = np.inf
+    seq = [first]
+    hidden = 0               # seq[:hidden] already sit at infinity in Xv, Yv
+    cur = first
+    for _ in range(len(X) - 2):
+        for c in nbr[cur]:
+            if left[c]:
+                break
+        else:
+            Xv[seq[hidden:]] = Yv[seq[hidden:]] = np.inf
+            hidden = len(seq)
+            c = _nearest(X[cur], Y[cur], Xv, Yv)
+        left[c] = False
+        seq.append(c)
+        cur = c
+    seq.append(last)
+    return seq
 
 
 def _descent_small(D: np.ndarray, n: int, order: list[int], budget: int) -> int:
@@ -351,13 +395,16 @@ def _improvable(X, Y, seq, E, nbr, nbd) -> list[int]:
     return flagged[np.argsort(pos[flagged])].tolist()
 
 
-def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int) -> int:
+def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
+                  near_idx: np.ndarray, near_d: np.ndarray, nbr: list) -> int:
     """2-opt and Or-opt over nearest-neighbour candidates, in place.
 
     X, Y hold the coordinates by node id and seq the path as node ids; its
-    first and last nodes stay fixed.  A move is tried only when one of its
-    new edges joins a node a to one of a's _NEIGHBOURS nearest nodes c, and
-    only while |ac| is shorter than what a's side of the move removes:
+    first and last nodes stay fixed.  near_idx, near_d are _neighbours'
+    lists over X, Y and nbr is near_idx as Python lists.  A move is tried
+    only when one of its new edges joins a node a to one of a's _NEIGHBOURS
+    nearest nodes c, and only while |ac| is shorter than what a's side of
+    the move removes:
     - 2-opt: a's edge to its successor b (or predecessor) and c's edge on
       the same side, c-e, give way to a-c and b-e;
     - Or-opt: a segment of 1-3 nodes with a at one end moves next to c,
@@ -373,8 +420,7 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int) -> 
     O(m * _NEIGHBOURS).  Returns the unspent budget.
     """
     m = len(seq)
-    near_idx, near_d = _neighbours(X, Y, _NEIGHBOURS)
-    nbr, nbd = near_idx.tolist(), near_d.tolist()
+    nbd = near_d.tolist()
     xs, ys = X.tolist(), Y.tolist()
     pos = [0] * m
     for k, a in enumerate(seq):
@@ -503,6 +549,17 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int) -> 
     return budget
 
 
+def _nn_local_search(X: np.ndarray, Y: np.ndarray, first: int, last: int,
+                     budget: int) -> list[int]:
+    """The path _nn_path builds from first to last, then _local_search on
+    it; both read the same neighbour lists, built once."""
+    near_idx, near_d = _neighbours(X, Y, _NEIGHBOURS)
+    nbr = near_idx.tolist()
+    seq = _nn_path(X, Y, nbr, first, last)
+    _local_search(X, Y, seq, budget, near_idx, near_d, nbr)
+    return seq
+
+
 def _fold_length(P: np.ndarray) -> float:
     """Length of the path through the rows of P, legs added left to right."""
     return float(np.add.accumulate(_dists(P[:-1, 0], P[:-1, 1], P[1:, 0], P[1:, 1]))[-1])
@@ -511,9 +568,12 @@ def _fold_length(P: np.ndarray) -> float:
 def emhp_heuristic(s, points, f):
     """Good s -> points -> f path: nearest-neighbor starts plus local search.
 
-    Small instances try several construction seeds and polish with 2-opt and
-    segment relocation over all pairs.  Large ones (over 64 points) run one
-    seed, then 2-opt and Or-opt moves whose new edge joins a node to one of
+    Small instances try several construction seeds, each an O(n^2)
+    nearest-neighbor order, and polish with 2-opt and segment relocation
+    over all pairs.  Large ones (over 64 points) build the 10 nearest
+    neighbours of every node once, walk them for the nearest-neighbor path
+    from s (O(10 n) plus an O(n) scan per step whose list is all visited),
+    then try 2-opt and Or-opt moves whose new edge joins a node to one of
     its 10 nearest neighbours, examined from a queue of nodes with changed
     edges (_local_search); memory is O(10 n).  The accepted-move budget is
     50*n^2.  Never better than emhp_exact, usually equal for small n.
@@ -522,8 +582,8 @@ def emhp_heuristic(s, points, f):
     all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
     if not np.isfinite(all_pts).all():
         raise ParameterDomainError("emhp_heuristic needs finite coordinates")
-    X, Y = all_pts[1:n + 1, 0], all_pts[1:n + 1, 1]
     if n <= _SMALL_HEURISTIC_CAP:
+        X, Y = all_pts[1:n + 1, 0], all_pts[1:n + 1, 1]
         D = _dist_matrix(all_pts)
         if n == 0:
             return [], float(D[0, 1])
@@ -541,9 +601,7 @@ def emhp_heuristic(s, points, f):
             if budget <= 0:
                 break
         return best_order, best_len
-    first = int(np.argmin(_dists(all_pts[0, 0], all_pts[0, 1], X, Y)))
-    seq = [0] + [i + 1 for i in _nn_order(X, Y, first)] + [n + 1]
-    _local_search(all_pts[:, 0], all_pts[:, 1], seq, 50 * n * n)
+    seq = _nn_local_search(all_pts[:, 0], all_pts[:, 1], 0, n + 1, 50 * n * n)
     return [k - 1 for k in seq[1:-1]], _fold_length(all_pts[seq])
 
 
@@ -552,10 +610,11 @@ def tour_two_opt(points, seed_point: int = 0):
 
     The tour starts at seed_point, an index into points (0 for an empty
     list), and is the open path from it back to a copy of it, so it gets
-    emhp_heuristic's large-n search (_local_search) whatever n is.  Returns
-    (order, length), the legs added left to right.  Used for spot checks
-    against the expected sqrt(n * A) scaling of optimal tours over uniform
-    points.
+    emhp_heuristic's large-n start and search whatever n is; the start
+    costs O(10 n) plus an O(n) scan per step whose list is all visited.
+    Returns (order, length), the legs added left to right.  Used for spot
+    checks against the expected sqrt(n * A) scaling of optimal tours over
+    uniform points.
     """
     pts = np.array([tuple(p) for p in points], dtype=float)
     n = len(pts)
@@ -567,9 +626,8 @@ def tour_two_opt(points, seed_point: int = 0):
         return list(range(n)), 0.0
     if not np.isfinite(pts).all():
         raise ParameterDomainError("tour_two_opt needs finite coordinates")
-    seq = _nn_order(pts[:, 0], pts[:, 1], int(seed_point)) + [n]
     pts = np.vstack([pts, pts[seed_point]])        # node n: the anchor again
-    _local_search(pts[:, 0], pts[:, 1], seq, 50 * n * n)
+    seq = _nn_local_search(pts[:, 0], pts[:, 1], int(seed_point), n, 50 * n * n)
     return seq[:-1], _fold_length(pts[seq])
 
 
@@ -618,10 +676,10 @@ def tmhp_solve(instance: TmhpInstance) -> TmhpSolution:
     to 1e-9 for the same visiting order; this identity is checked on every
     call and a violation raises (it would mean broken kinematics).
     """
-    v = instance.v
-    ts = g_map(instance.s, v)
-    tf_ = g_map(instance.f, v)
-    tpts = [g_map(p, v) for p in instance.points]
+    v = instance.v                 # checked by TmhpInstance
+    ts = _g_map(instance.s, v)
+    tf_ = _g_map(instance.f, v)
+    tpts = [_g_map(p, v) for p in instance.points]
     if len(tpts) <= EXACT_SOLVER_CAP:
         order, length = emhp_exact(ts, tpts, tf_)
     else:
@@ -631,11 +689,11 @@ def tmhp_solve(instance: TmhpInstance) -> TmhpSolution:
     tau = 0.0
     for idx in order:
         x, y = instance.points[idx]
-        T = intercept_time(pos, (x, y + v * tau), v)
+        T = _intercept_time(pos, (x, y + v * tau), v)
         tau += T
         pos = (x, y + v * tau)
     x, y = instance.f
-    tau += intercept_time(pos, (x, y + v * tau), v)
+    tau += _intercept_time(pos, (x, y + v * tau), v)
 
     drift = v * (instance.f[1] - instance.s[1]) / (1.0 - v * v)
     if abs(tau - (length + drift)) > 1e-9:
@@ -757,7 +815,7 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
             if d.resolve_time is not None:
                 continue          # escaped at the budget boundary mid-path
             now = (d.x, v * (t - d.t_arr))
-            T = intercept_time(pos, now, v)
+            T = _intercept_time(pos, now, v)
             t_meet = t + T
             aim = (d.x, now[1] + v * T)
             leg = (t, pos, aim, T)

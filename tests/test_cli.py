@@ -46,6 +46,18 @@ def test_gen_stream_file_and_stdout(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_gen_stream_stdout_matches_out_file(tmp_path):
+    # one serialiser: stdout carries the --out file's bytes
+    args = [sys.executable, "-m", "guardsim", "gen-stream", "--W", "10", "--L", "20",
+            "--v", "0.3", "--lam", "1.7", "--n-demands", "40", "--seed", "11"]
+    path = tmp_path / "s.jsonl"
+    assert subprocess.run(args + ["--out", str(path)], timeout=60).returncode == 0
+    proc = subprocess.run(args, capture_output=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == path.read_bytes()
+    assert len(proc.stdout.splitlines()) == 41
+
+
 def test_graph_subcommand(tmp_path, capsys):
     path = str(tmp_path / "s.jsonl")
     main(["gen-stream", "--W", "10", "--L", "20", "--v", "2", "--lam", "1",

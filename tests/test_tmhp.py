@@ -1,5 +1,6 @@
 """g-transform, intercept timing, Hamiltonian path solvers, TF policy."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from guardsim import (
     tour_two_opt,
 )
 
-from guardsim.tmhp import _improvable, _neighbours
+from guardsim import tmhp
+from guardsim.tmhp import _improvable, _local_search, _neighbours
 
 from ._oracles import (check_trace, emhp_brute, emhp_heuristic_dense,
                        emhp_nn_start, fold_length, improving_candidate_moves,
@@ -275,6 +277,88 @@ def test_heuristic_length_within_one_percent_of_dense_reference():
                 ref_tour += tour_two_opt_dense(pts)[1]
     assert path <= 1.01 * ref_path
     assert tour <= 1.01 * ref_tour
+
+
+def _large_start(call):
+    """The start that call's large-n path hands to _local_search, as node
+    ids; the search itself is skipped."""
+    starts = []
+
+    def record(X, Y, seq, budget, *lists):
+        starts.append(list(seq))
+        return budget
+
+    with mock.patch.object(tmhp, "_local_search", record):
+        call()
+    (start,) = starts
+    return start
+
+
+def _counting_fallback(calls):
+    """A stand-in for tmhp._nearest, the full scan of the start, that counts
+    its calls."""
+    nearest = tmhp._nearest
+
+    def counted(*args):
+        calls.append(args)
+        return nearest(*args)
+
+    return mock.patch.object(tmhp, "_nearest", counted)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(65, 600), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
+def test_emhp_large_start_equals_nn_oracle(n, seed, grid):
+    pts = _cloud(n, seed, grid)
+    s, f = pts.pop(), pts.pop()
+    assert _large_start(lambda: emhp_heuristic(s, pts, f)) == emhp_nn_start(s, pts, f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), grid=_GRIDS,
+       anchor=st.integers(0, 2**16))
+def test_tour_start_equals_nn_oracle(n, seed, grid, anchor):
+    pts = _cloud(n, seed, grid)[:n]
+    anchor %= n
+    start = _large_start(lambda: tour_two_opt(pts, anchor))
+    # node n is the copy of the anchor that closes the tour
+    assert start == tour_nn_start(pts, anchor)[:-1] + [n]
+
+
+def test_nn_start_fallback_matches_oracle():
+    # tight clusters of 15 points, far apart and shuffled: before the walk
+    # leaves a cluster, every one of a point's 10 nearest is visited, so the
+    # start must scan all points
+    rng = np.random.default_rng(5)
+    centres = [(0.0, 0.0), (90.0, 5.0), (10.0, 80.0), (70.0, 60.0), (40.0, 30.0),
+               (140.0, 90.0)]
+    cloud = np.array([(cx, cy) for cx, cy in centres for _ in range(15)])
+    cloud += rng.random(cloud.shape)
+    pts = [tuple(map(float, p)) for p in rng.permutation(cloud)]
+    s, f = pts.pop(), pts.pop()
+    calls = []
+    with _counting_fallback(calls):
+        start = _large_start(lambda: emhp_heuristic(s, pts, f))
+    assert len(calls) >= len(centres) - 1
+    assert start == emhp_nn_start(s, pts, f)
+    calls.clear()
+    with _counting_fallback(calls):
+        start = _large_start(lambda: tour_two_opt(pts, 3))
+    assert len(calls) >= len(centres) - 1
+    assert start == tour_nn_start(pts, 3)[:-1] + [len(pts)]
+
+
+def test_emhp_heuristic_equals_oracle_start_then_search_3000_points():
+    n = 3000
+    pts = _cloud(n, 2024, 0.0)
+    s, f = pts.pop(), pts.pop()
+    coords = np.array([s] + pts + [f])
+    X, Y = coords[:, 0], coords[:, 1]
+    seq = emhp_nn_start(s, pts, f)
+    idx, dist = _neighbours(X, Y, 10)
+    _local_search(X, Y, seq, 50 * n * n, idx, dist, idx.tolist())
+    assert emhp_heuristic(s, pts, f) == ([k - 1 for k in seq[1:-1]],
+                                         fold_length(coords, seq))
 
 
 def test_tour_two_opt_seed_point_domain():
