@@ -5,9 +5,8 @@ planned demand exactly at its escape instant t_arr + L/v via intercept
 motion (slide to the demand's abscissa, wait there).  The simulation runs
 each stream to quiescence: every demand ends captured or escaped.
 
-Simultaneous-event ordering: escapes, then captures, then recomputes, then
-arrivals, stable by demand id.  A recompute triggered by an arrival follows
-that arrival at the same timestamp.
+The event kernel here, `_EventKernel`, also runs the slow-vehicle TF policy
+of `tmhp`; its docstring gives the order of simultaneous events.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .core import Demand, DemandStream, VehicleState
 from .errors import ContractViolationError, ParameterDomainError, RegimeError
-from .reachability import PathPlan, build_reach_graph, longest_chain_fast, longest_path
+from .reachability import build_reach_graph, longest_chain_fast, longest_path
 
 # above this many demands the O(n^2) graph is replaced by the O(n log n)
 # chain solver (identical path lengths; see reachability)
@@ -74,151 +73,111 @@ def write_trace_jsonl(result: RunResult, path: str) -> None:
             fh.write(json.dumps(ev.to_dict()) + "\n")
 
 
-class _DeadlineSim:
-    """Shared event loop; policies differ only in their planner callback.
+class _EventKernel:
+    """Event bookkeeping shared by both regimes; a policy adds its planner.
 
-    planner(t, x, outstanding, first) -> list of Demand to commit, in
-    capture order.  Committed demands are guaranteed capturable from
-    (x, L, t) (the planner only ever commits graph paths), are immune to
-    escape while committed, and are captured at their deadline instants.
+    The kernel holds private copies of a stream's demands.  It admits their
+    arrivals and fires their escapes in time order while the policy moves
+    the vehicle along motion legs and captures.  It owns the pending
+    arrivals, the outstanding demands, a lazy escape heap, the current leg,
+    the counters and the trace.
+
+    A leg is (t0, x_from, x_to, dur).  On the deadline (v >= 1) the vehicle
+    slides at unit speed, x = x_from +- (t - t0), and waits at x_to from
+    t0 + dur on.  In the strip (v < 1) it crosses a straight segment in
+    dur, x = x_from + frac * (x_to - x_from).  The two round differently,
+    so both stay.  Trace positions are computed only when a trace is kept.
+
+    Ties: in `advance` an escape fires before an arrival at the same
+    instant, and before the capture the policy makes at t_end; escapes at
+    one instant fire in demand-id order.  Protected demands (committed
+    targets) never escape.  The policies order the rest:
+    - deadline: capture, recompute, arrival, recompute.  LP and GP replan
+      at a capture instant before they admit the arrival there, and again
+      after it; NCLP never replans.
+    - strip: capture, arrival, recompute.  TF admits the arrivals at the
+      end of a sweep before it plans the next one.
     """
 
-    def __init__(self, stream: DemandStream, start_x: float, trace: bool,
-                 recompute_events: str = "all"):
+    def __init__(self, stream: DemandStream, start, trace: bool, strip: bool = False):
         env = stream.env
-        if env.v < 1.0:
+        if strip and env.v >= 1.0:
+            raise RegimeError(f"the TF policy needs v < 1, got v={env.v}")
+        if not strip and env.v < 1.0:
             raise RegimeError(f"deadline policies need v >= 1, got v={env.v}")
         self.env = env
+        self.strip = strip
+        self.start = _check_start(env, start, strip)
         self.demands = [Demand(d.id, d.t_arr, d.x, d.status, d.resolve_time)
                         for d in stream]   # private copies
         self.by_id = {d.id: d for d in self.demands}
         self.pending = deque(self.demands)            # arrivals in time order
         self.outstanding: dict[int, Demand] = {}
-        self.committed: set[int] = set()
-        self.esc_heap: list[tuple[float, int]] = []
-        self.x = start_x
-        self.t = 0.0
+        self.protected: set[int] = set()
+        self.esc_heap: list[tuple[float, int, Demand]] = []
+        self.events: list[TraceEvent] | None = [] if trace else None
         self.n_capt = 0
         self.n_esc = 0
-        self.events: list[TraceEvent] | None = [] if trace else None
-        self.recompute_events = recompute_events      # "all" or "first"
-        # current motion leg: depart (t_dep, x_from), arrive x_to at t_arrive
-        self._leg = (0.0, start_x, start_x, 0.0)
+        x0 = self.start[0]
+        self.leg = (0.0, x0, x0, 0.0)
 
-    # -- helpers ------------------------------------------------------------
-
-    def emit(self, t: float, event: str, demand_id: int | None, vx: float) -> None:
-        if self.events is not None:
-            self.events.append(TraceEvent(t, event, demand_id, vx))
-
-    def vehicle_x_at(self, t: float) -> float:
-        t_dep, x_from, x_to, t_arrive = self._leg
-        if t >= t_arrive:
+    def _x_at(self, t: float) -> float:
+        t0, x_from, x_to, dur = self.leg
+        if self.strip:
+            if dur <= 0.0:
+                return x_from
+            return x_from + min(max(t - t0, 0.0), dur) / dur * (x_to - x_from)
+        if t >= t0 + dur:
             return x_to
-        step = t - t_dep
-        return x_from + math.copysign(step, x_to - x_from)
+        return x_from + math.copysign(t - t0, x_to - x_from)
 
-    def deadline(self, d: Demand) -> float:
-        return d.escape_time(self.env)
-
-    def _admit(self, d: Demand) -> None:
-        self.pending.popleft()
-        d.mark_outstanding()
-        self.outstanding[d.id] = d
-        heapq.heappush(self.esc_heap, (self.deadline(d), d.id))
-        self.emit(d.t_arr, "arrival", d.id, self.vehicle_x_at(d.t_arr))
-
-    def admit_through(self, t: float) -> int:
-        """Admit every pending arrival with t_arr <= t; count them."""
-        n = 0
-        while self.pending and self.pending[0].t_arr <= t:
-            self._admit(self.pending[0])
-            n += 1
-        return n
-
-    def _peek_escape(self) -> tuple[float, int]:
-        """Earliest live escape (lazily skipping resolved/committed)."""
-        while self.esc_heap:
-            t_e, i = self.esc_heap[0]
-            d = self.by_id[i]
-            if i in self.committed or d.resolve_time is not None:
-                heapq.heappop(self.esc_heap)
-                continue
-            return t_e, i
-        return math.inf, -1
-
-    def _fire_escape(self, i: int, t_e: float) -> None:
-        heapq.heappop(self.esc_heap)
-        d = self.outstanding.pop(i)
-        d.mark_escaped(t_e)
-        self.n_esc += 1
-        self.emit(t_e, "escape", i, self.vehicle_x_at(t_e))
-
-    def drain_escapes_through(self, t: float) -> None:
+    def advance(self, t_end: float, inclusive_arrivals: bool) -> None:
+        """Fire escapes through t_end and arrivals before it (through it if
+        inclusive_arrivals), in time order."""
+        heap, pending, outstanding = self.esc_heap, self.pending, self.outstanding
+        protected, events = self.protected, self.events
         while True:
-            t_e, i = self._peek_escape()
-            if t_e > t:
-                return
-            self._fire_escape(i, t_e)
-
-    # -- leg execution -------------------------------------------------------
-
-    def execute(self, commit: list[Demand]) -> None:
-        """Drive the committed capture sequence, interleaving arrivals and
-        escapes of uncommitted demands in timestamp order."""
-        self.committed.update(d.id for d in commit)
-        for d in commit:
-            t_cap = self.deadline(d)
-            self._leg = (self.t, self.x, d.x, self.t + abs(d.x - self.x))
-            while True:
-                t_e, i_e = self._peek_escape()
-                t_a = self.pending[0].t_arr if self.pending else math.inf
-                # next event among escape (prio 0), this capture (prio 1),
-                # arrival (prio 3)
-                if t_e <= t_cap and t_e <= t_a:
-                    self._fire_escape(i_e, t_e)
-                    continue
-                if t_a < t_cap and t_a < t_e:
-                    self._admit(self.pending[0])
-                    continue
-                break
-            self.outstanding.pop(d.id)
-            self.committed.discard(d.id)
-            d.mark_captured(t_cap)
-            self.n_capt += 1
-            self.emit(t_cap, "capture", d.id, d.x)
-            self.t, self.x = t_cap, d.x
-        self._leg = (self.t, self.x, self.x, self.t)
-
-    # -- main loop ------------------------------------------------------------
-
-    def run(self, planner) -> RunResult:
-        first = True
-        while True:
-            commit = planner(self.t, self.x, self.outstanding, first)
-            if self.recompute_events == "all" or first:
-                self.emit(self.t, "recompute", None, self.x)
-            first = False
-            admitted = self.admit_through(self.t)
-            if commit:
-                self.execute(commit)
-                self.drain_escapes_through(self.t)
-                continue
-            if admitted:
-                continue                        # replan with the new arrivals
-            if self.pending:
-                t_next = self.pending[0].t_arr
-                self.drain_escapes_through(t_next)   # idle; escapes come first
-                self.t = t_next
-                self.admit_through(t_next)
-                continue
-            # quiescence: nothing reachable, nothing pending
-            while True:
-                t_e, i_e = self._peek_escape()
-                if i_e < 0:
+            while heap:
+                t_e, i, d = heap[0]
+                if i not in protected and d.resolve_time is None:
                     break
-                self._fire_escape(i_e, t_e)
-            break
+                heapq.heappop(heap)
+            else:
+                t_e = math.inf
+            t_a = pending[0].t_arr if pending else math.inf
+            if heap and t_e <= t_end and t_e <= t_a:
+                heapq.heappop(heap)
+                del outstanding[i]
+                d.mark_escaped(t_e)
+                self.n_esc += 1
+                if events is not None:
+                    events.append(TraceEvent(t_e, "escape", i, self._x_at(t_e)))
+            elif t_a < t_e and (t_a <= t_end if inclusive_arrivals else t_a < t_end):
+                d = pending.popleft()
+                d.mark_outstanding()
+                outstanding[d.id] = d
+                heapq.heappush(heap, (d.escape_time(self.env), d.id, d))
+                if events is not None:
+                    events.append(TraceEvent(t_a, "arrival", d.id, self._x_at(t_a)))
+            else:
+                return
+
+    def capture(self, d: Demand, t: float) -> None:
+        """Capture outstanding d at t; the vehicle is then at d.x."""
+        del self.outstanding[d.id]
+        self.protected.discard(d.id)
+        d.mark_captured(t)
+        self.n_capt += 1
+        if self.events is not None:
+            self.events.append(TraceEvent(t, "capture", d.id, d.x))
+
+    def recompute(self, t: float, x: float) -> None:
+        if self.events is not None:
+            self.events.append(TraceEvent(t, "recompute", None, x))
+
+    def finish(self) -> RunResult:
+        """Let every remaining demand arrive and escape; check conservation."""
+        self.advance(math.inf, True)
         if self.n_capt + self.n_esc != len(self.demands):
             raise ContractViolationError(
                 f"{self.n_capt} captures + {self.n_esc} escapes "
@@ -226,36 +185,77 @@ class _DeadlineSim:
         return RunResult(self.n_capt, self.n_esc, trace=self.events)
 
 
-def _plan(vehicle: VehicleState, demands, v: float, L: float, method: str) -> PathPlan:
-    if method == "auto":
-        method = "graph" if len(demands) <= _AUTO_GRAPH_LIMIT else "chain"
-    if method == "graph":
-        return longest_path(build_reach_graph(vehicle, demands, v, L))
-    if method == "chain":
-        return longest_chain_fast(vehicle, demands, v, L)
-    raise ParameterDomainError(f"unknown method {method!r}")
+def _check_start(env, start, strip: bool) -> tuple:
+    """The vehicle's start, by default mid-strip: (x,) with x in [0, W] on
+    the deadline, a point (x, y) of [0, W] x [0, L] in the strip."""
+    if start is None:
+        return (env.W / 2.0, env.L / 2.0) if strip else (env.W / 2.0,)
+    try:
+        p = tuple(float(c) for c in start) if strip else (float(start),)
+    except (TypeError, ValueError):
+        p = ()
+    if len(p) != 1 + strip or not all(math.isfinite(c) for c in p) \
+            or not 0.0 <= p[0] <= env.W or (strip and not 0.0 <= p[1] <= env.L):
+        where = f"point (x, y) of [0, {env.W}] x [0, {env.L}]" if strip \
+            else f"abscissa in [0, {env.W}]"
+        raise ParameterDomainError(f"start must be a finite {where}, got {start!r}")
+    return p
 
 
-def _resolve_start(stream: DemandStream, start_x) -> float:
-    if start_x is None:
-        return stream.env.W / 2.0
-    return float(start_x)
+def _execute(sim: _EventKernel, commit: list[Demand], t: float, x: float):
+    """Capture the committed demands in order, each on its deadline: slide
+    to its abscissa and wait.  Returns the vehicle's (t, x) afterwards."""
+    sim.protected.update(d.id for d in commit)
+    for d in commit:
+        t_cap = d.escape_time(sim.env)
+        sim.leg = (t, x, d.x, abs(d.x - x))
+        sim.advance(t_cap, False)
+        sim.capture(d, t_cap)
+        t, x = t_cap, d.x
+    sim.leg = (t, x, x, 0.0)
+    return t, x
+
+
+def _run(sim: _EventKernel, planner) -> RunResult:
+    """Replan after every commit and every arrival until the stream resolves.
+
+    planner(t, x) -> outstanding demands to commit, in capture order; it
+    commits only paths the vehicle can follow from (x, L) at t.
+    """
+    t, x = 0.0, sim.start[0]
+    while True:
+        commit = planner(t, x)
+        sim.recompute(t, x)
+        waiting = len(sim.pending)
+        sim.advance(t, True)
+        if commit:
+            t, x = _execute(sim, commit, t, x)
+        elif len(sim.pending) == waiting:     # nothing new: idle or done
+            if not sim.pending:
+                return sim.finish()
+            t = sim.pending[0].t_arr
+            sim.advance(t, True)
 
 
 def run_nclp(stream: DemandStream, start_x: float | None = None,
              method: str = "auto", trace: bool = False) -> RunResult:
     """Non-causal longest path: one plan over the entire stream at t=0."""
     env = stream.env
-    sim = _DeadlineSim(stream, _resolve_start(stream, start_x), trace,
-                       recompute_events="first")
-
-    def planner(t, x, outstanding, first):
-        if not first:
-            return []
-        plan = _plan(VehicleState(x, env.L, t), sim.demands, env.v, env.L, method)
-        return [sim.by_id[i] for i in plan.order]
-
-    return sim.run(planner)
+    sim = _EventKernel(stream, start_x, trace)
+    x0 = sim.start[0]
+    vehicle = VehicleState(x0, env.L, 0.0)
+    if method == "auto":
+        method = "graph" if len(sim.demands) <= _AUTO_GRAPH_LIMIT else "chain"
+    if method == "graph":
+        plan = longest_path(build_reach_graph(vehicle, sim.demands, env.v, env.L))
+    elif method == "chain":
+        plan = longest_chain_fast(vehicle, sim.demands, env.v, env.L)
+    else:
+        raise ParameterDomainError(f"unknown method {method!r}")
+    sim.recompute(0.0, x0)
+    sim.advance(0.0, True)
+    _execute(sim, [sim.by_id[i] for i in plan.order], 0.0, x0)
+    return sim.finish()
 
 
 def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
@@ -267,31 +267,29 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
             not 0.0 < float(eta) <= 1.0 or not math.isfinite(eta):
         raise ParameterDomainError(f"eta must be in (0, 1], got {eta!r}")
     eta = float(eta)
-    sim = _DeadlineSim(stream, _resolve_start(stream, start_x), trace)
+    sim = _EventKernel(stream, start_x, trace)
 
-    def planner(t, x, outstanding, first):
-        if not outstanding:
+    def planner(t, x):
+        if not sim.outstanding:
             return []
-        plan = _plan(VehicleState(x, env.L, t), list(outstanding.values()),
-                     env.v, env.L, "chain")
-        if plan.length == 0:
-            return []
+        plan = longest_chain_fast(VehicleState(x, env.L, t),
+                                  list(sim.outstanding.values()), env.v, env.L)
         k = math.ceil(eta * plan.length)
         return [sim.by_id[i] for i in plan.order[:k]]
 
-    return sim.run(planner)
+    return _run(sim, planner)
 
 
 def run_gp(stream: DemandStream, start_x: float | None = None,
            trace: bool = False) -> RunResult:
     """Greedy path: always chase the reachable demand closest to escaping."""
     env = stream.env
-    sim = _DeadlineSim(stream, _resolve_start(stream, start_x), trace)
+    sim = _EventKernel(stream, start_x, trace)
 
-    def planner(t, x, outstanding, first):
-        if not outstanding:
+    def planner(t, x):
+        if not sim.outstanding:
             return []
-        ds = list(outstanding.values())
+        ds = list(sim.outstanding.values())
         xs = np.array([d.x for d in ds])
         dls = np.array([d.t_arr for d in ds]) + env.L / env.v
         ok = np.abs(x - xs) <= dls - t
@@ -304,4 +302,4 @@ def run_gp(stream: DemandStream, start_x: float | None = None,
         best = cand[np.argmin([ds[i].id for i in cand])]
         return [ds[int(best)]]
 
-    return sim.run(planner)
+    return _run(sim, planner)

@@ -9,12 +9,14 @@ its longest source-rooted path.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Demand, VehicleState
-from .errors import ContractViolationError, GraphCycleError, RegimeError
+from .errors import (ContractViolationError, GraphCycleError, ParameterDomainError,
+                     RegimeError)
 
 
 def is_reachable(vehicle, demand_pos, v: float) -> bool:
@@ -72,17 +74,12 @@ class PathPlan:
     capture_times: list[float]
     length: int
 
-    def validate(self) -> None:
-        """Check unit-speed feasibility along the plan (test helper)."""
-        assert self.length == len(self.order) == len(self.capture_times)
-        for k in range(1, self.length):
-            dt = self.capture_times[k] - self.capture_times[k - 1]
-            assert dt >= 0.0, "capture times must be nondecreasing"
-
 
 def _check_regime_and_state(vehicle: VehicleState, demands, v: float, L: float) -> None:
     if v < 1.0:
         raise RegimeError(f"deadline reachability needs v >= 1, got v={v}")
+    if not math.isfinite(vehicle.x):
+        raise ParameterDomainError(f"vehicle abscissa must be finite, got x={vehicle.x}")
     if vehicle.y != L:
         raise ContractViolationError(
             f"vehicle must sit on the deadline y={L}, got y={vehicle.y}"

@@ -10,17 +10,15 @@ lower half of the strip and follows it for L/(2v) time units.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Demand, DemandStream
-from .deadline_policies import RunResult, TraceEvent
-from .errors import (ContractViolationError, ParameterDomainError, RegimeError,
-                     SizeLimitError)
+from .core import DemandStream
+from .deadline_policies import RunResult, _EventKernel
+from .errors import ContractViolationError, ParameterDomainError, SizeLimitError
 
 EXACT_SOLVER_CAP = 13        # Held-Karp subset table stays under 2^13 * 13 cells
 
@@ -714,88 +712,21 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
     Each iteration plans a path from the vehicle through every outstanding
     demand at ordinate <= L/2, ending at the lowest one, and follows it for
     at most L/(2v) time units; a leg cut off by the budget is abandoned
-    mid-flight.  Captures happen only at planned intercepts.
+    mid-flight.  Captures happen only at planned intercepts.  start is the
+    vehicle's (x, y), by default (W/2, L/2).
     """
-    env = stream.env
-    if env.v >= 1.0:
-        raise RegimeError(f"the TF policy needs v < 1, got v={env.v}")
-    v, L = env.v, env.L
-    pos = (env.W / 2.0, L / 2.0) if start is None else (float(start[0]), float(start[1]))
-    t = 0.0
-    demands = [Demand(d.id, d.t_arr, d.x, d.status, d.resolve_time) for d in stream]
-    by_id = {d.id: d for d in demands}
-    pending = deque(demands)
-    outstanding: dict[int, Demand] = {}
-    esc_heap: list[tuple[float, int]] = []
-    events: list[TraceEvent] | None = [] if trace else None
-    n_capt = n_esc = 0
-    # current motion leg, for positions at event times
-    leg = (0.0, pos, pos, 0.0)     # (t0, from, aim, T)
-
-    def emit(at, kind, demand_id, vx):
-        if events is not None:
-            events.append(TraceEvent(at, kind, demand_id, vx))
-
-    def pos_at(at):
-        t0, p0, aim, T = leg
-        if T <= 0.0:
-            return p0
-        frac = min(max(at - t0, 0.0), T) / T
-        return (p0[0] + frac * (aim[0] - p0[0]), p0[1] + frac * (aim[1] - p0[1]))
-
-    def admit(d):
-        pending.popleft()
-        d.mark_outstanding()
-        outstanding[d.id] = d
-        heapq.heappush(esc_heap, (d.escape_time(env), d.id))
-        emit(d.t_arr, "arrival", d.id, pos_at(d.t_arr)[0])
-
-    def advance(t_end, inclusive_arrivals, protect=None):
-        """Fire escapes and admissions chronologically up to t_end."""
-        nonlocal n_esc
-        stash = []
-        while True:
-            t_e, i_e = math.inf, -1
-            while esc_heap:
-                te, ie = esc_heap[0]
-                d = by_id[ie]
-                if d.resolve_time is not None:
-                    heapq.heappop(esc_heap)
-                    continue
-                if ie == protect:
-                    stash.append(heapq.heappop(esc_heap))
-                    continue
-                t_e, i_e = te, ie
-                break
-            t_a = pending[0].t_arr if pending else math.inf
-            if i_e >= 0 and t_e <= t_end and t_e <= t_a:
-                heapq.heappop(esc_heap)
-                d = outstanding.pop(i_e)
-                d.mark_escaped(t_e)
-                n_esc += 1
-                emit(t_e, "escape", i_e, pos_at(t_e)[0])
-                continue
-            arr_ok = (t_a <= t_end) if inclusive_arrivals else (t_a < t_end)
-            if arr_ok and t_a < t_e:
-                admit(pending[0])
-                continue
-            break
-        for entry in stash:
-            heapq.heappush(esc_heap, entry)
-
+    sim = _EventKernel(stream, start, trace, strip=True)
+    v, L = sim.env.v, sim.env.L
+    pos, t = sim.start, 0.0
     while True:
-        ready = [d for d in outstanding.values() if v * (t - d.t_arr) <= L / 2.0]
+        ready = [d for d in sim.outstanding.values() if v * (t - d.t_arr) <= L / 2.0]
         if not ready:
-            if pending:
-                t_next = pending[0].t_arr
-                leg = (t, pos, pos, 0.0)
-                advance(t_next, inclusive_arrivals=True)
-                t = t_next
-                continue
-            # nothing arriving; anything left can only escape
-            leg = (t, pos, pos, 0.0)
-            advance(math.inf, inclusive_arrivals=True)
-            break
+            sim.leg = (t, pos[0], pos[0], 0.0)
+            if not sim.pending:
+                return sim.finish()     # anything left can only escape
+            t = sim.pending[0].t_arr
+            sim.advance(t, True)
+            continue
 
         ready.sort(key=lambda d: (v * (t - d.t_arr), d.id))
         finish = ready[0]
@@ -807,7 +738,7 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
             v=v,
         )
         sol = tmhp_solve(inst)
-        emit(t, "recompute", None, pos[0])
+        sim.recompute(t, pos[0])
         targets = [others[k] for k in sol.order] + [finish]
         t_stop = t + L / (2.0 * v)
 
@@ -818,20 +749,18 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
             T = _intercept_time(pos, now, v)
             t_meet = t + T
             aim = (d.x, now[1] + v * T)
-            leg = (t, pos, aim, T)
+            sim.leg = (t, pos[0], aim[0], T)
             if t_meet <= t_stop:
-                advance(t_meet, inclusive_arrivals=False, protect=d.id)
+                sim.protected.add(d.id)
+                sim.advance(t_meet, False)
+                sim.capture(d, t_meet)
                 pos, t = aim, t_meet
-                outstanding.pop(d.id)
-                d.mark_captured(t_meet)
-                n_capt += 1
-                emit(t_meet, "capture", d.id, d.x)
             else:
                 # budget exhausted mid-leg: stop on the segment and abandon
                 # the chase (if the target is exactly at the deadline now,
                 # its escape fires like any other)
                 rem = t_stop - t
-                advance(t_stop, inclusive_arrivals=True)
+                sim.advance(t_stop, True)
                 frac = rem / T
                 pos = (pos[0] + frac * (aim[0] - pos[0]),
                        pos[1] + frac * (aim[1] - pos[1]))
@@ -839,10 +768,5 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
                 break
         else:
             # path completed within budget; admit anything that landed at t
-            leg = (t, pos, pos, 0.0)
-            advance(t, inclusive_arrivals=True)
-
-    if n_capt + n_esc != len(demands):
-        raise ContractViolationError(
-            f"{n_capt} captures + {n_esc} escapes != {len(demands)} demands")
-    return RunResult(n_capt, n_esc, trace=events)
+            sim.leg = (t, pos[0], pos[0], 0.0)
+            sim.advance(t, True)

@@ -100,6 +100,27 @@ def longest_source_path_enum(source_edges, edges, ids):
     return best
 
 
+def check_plan(plan, vehicle, demands, v, L, tol=1e-9):
+    """Unit-speed feasibility of a deadline capture plan, from the definitions.
+
+    The plan captures demand order[k] on the deadline y = L at
+    capture_times[k].  Asserts: the lengths agree and no demand repeats;
+    each capture time is exactly t_arr + L/v; the vehicle, at abscissa
+    vehicle.x on the deadline at vehicle.t, reaches the first demand in
+    time (the source is reachable); and every hop has |dx| <= dt.
+    """
+    by_id = {d.id: d for d in demands}
+    assert vehicle.y == L, f"vehicle off the deadline: {vehicle}"
+    assert plan.length == len(plan.order) == len(plan.capture_times)
+    assert len(set(plan.order)) == plan.length, f"repeated demand: {plan.order}"
+    x, t = vehicle.x, vehicle.t
+    for i, t_cap in zip(plan.order, plan.capture_times):
+        d = by_id[i]
+        assert t_cap == d.t_arr + L / v, f"demand {i} not captured at its deadline"
+        assert abs(d.x - x) <= t_cap - t + tol, f"demand {i} out of reach from x={x}, t={t}"
+        x, t = d.x, t_cap
+
+
 # ---------------------------------------------------------------------------
 # tour lengths
 

@@ -204,3 +204,14 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "lp_lower_bound" in proc.stdout
+
+
+def test_graph_rejects_a_non_finite_start(tmp_path, capsys):
+    path = str(tmp_path / "s.jsonl")
+    main(["gen-stream", "--W", "10", "--L", "20", "--v", "2", "--lam", "1",
+          "--n-demands", "12", "--seed", "5", "--out", path])
+    capsys.readouterr()
+    rc = main(["graph", "--stream", path, "--start-x", "nan"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""

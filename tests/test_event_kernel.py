@@ -5,15 +5,21 @@ change to event order, to a vehicle position or to any float in a trace
 changes them, so a refactor of the event loop must leave them as they are.
 They pin this platform's floats (IEEE 754 doubles, numpy's planners).
 
-The hand traces pin the order of simultaneous events in each regime.
+The hand traces pin the order of simultaneous events in each regime, and a
+property test runs all four policies over streams on a 0.5 lattice, where
+events often coincide.
 """
 import hashlib
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardsim import (
     Demand,
     DemandStream,
+    ParameterDomainError,
     generate_stream,
     make_env,
     run_gp,
@@ -22,6 +28,8 @@ from guardsim import (
     run_tf,
     write_trace_jsonl,
 )
+
+from ._oracles import check_trace
 
 DEADLINE_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=0.25)
 STRIP_ENV = make_env(W=100.0, L=25.0, v=0.05, lam=1.6)
@@ -158,3 +166,70 @@ def test_tf_escape_at_capture_instant():
         ("escape", 2), ("escape", 1), ("capture", 3),
     ]
     assert trace[-2][2] == trace[-1][2] == t_meet
+
+
+# (v, L) per regime; on the 0.5 lattice escapes often coincide with
+# arrivals and captures
+FAST_VL = [(1.0, 1.0), (1.0, 2.5), (2.0, 5.0)]
+SLOW_VL = [(0.5, 2.0), (0.5, 4.0)]
+LATTICE_RUNS = {
+    "nclp": lambda s, x0, eta: run_nclp(s, start_x=x0, trace=True),
+    "lp": lambda s, x0, eta: run_lp(s, start_x=x0, eta=eta, trace=True),
+    "gp": lambda s, x0, eta: run_gp(s, start_x=x0, trace=True),
+    "tf": lambda s, x0, eta: run_tf(s, start=(x0, s.env.L / 2.0), trace=True),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(LATTICE_RUNS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lattice_streams_conserve_and_pass_the_audit(policy, data):
+    v, L = data.draw(st.sampled_from(SLOW_VL if policy == "tf" else FAST_VL))
+    env = make_env(W=5.0, L=L, v=v, lam=1.0)
+    ks = sorted(data.draw(st.sets(st.integers(0, 40), max_size=8)))
+    xs = data.draw(st.lists(st.integers(0, 10), min_size=len(ks), max_size=len(ks)))
+    stream = DemandStream(env, 0, [Demand(i, 0.5 * k, 0.5 * x)
+                                   for i, (k, x) in enumerate(zip(ks, xs))])
+    x0 = 0.5 * data.draw(st.integers(0, 10))
+    res = LATTICE_RUNS[policy](stream, x0, data.draw(st.sampled_from([0.5, 1.0])))
+    assert res.n_capt + res.n_esc == len(stream)
+    resolved = check_trace([e.to_dict() for e in res.trace], env, stream, start=(x0,))
+    assert len(resolved) == len(stream)
+    assert sum(e.event == "capture" for e in res.trace) == res.n_capt
+
+
+BAD_START_X = [math.nan, math.inf, -math.inf, -1e6, -0.5, 10.5, "left", (5.0,)]
+
+
+@pytest.mark.parametrize("runner", [run_nclp, run_lp, run_gp])
+@pytest.mark.parametrize("start_x", BAD_START_X, ids=repr)
+def test_deadline_start_must_lie_on_the_deadline(runner, start_x):
+    s = generate_stream(make_env(W=10.0, L=20.0, v=2.0, lam=1.0), 50, seed=0)
+    with pytest.raises(ParameterDomainError, match="start"):
+        runner(s, start_x=start_x)
+
+
+@pytest.mark.parametrize("runner", [run_nclp, run_lp, run_gp])
+def test_deadline_start_at_either_end(runner):
+    s = generate_stream(make_env(W=10.0, L=20.0, v=2.0, lam=1.0), 50, seed=0)
+    for x0 in (0.0, 10.0):
+        res = runner(s, start_x=x0, trace=True)
+        assert res.trace[0].vehicle_x == x0 and res.n_resolved == 50
+
+
+BAD_TF_STARTS = [(50.0, 1e9), (1.0, 2.0, 3.0), (5.0,), (math.nan, 1.0), (1.0, math.inf),
+                 (-1.0, 5.0), (101.0, 5.0), (5.0, -1.0), 5.0, "ab"]
+
+
+@pytest.mark.parametrize("start", BAD_TF_STARTS, ids=repr)
+def test_tf_start_must_be_a_point_of_the_strip(start):
+    s = generate_stream(make_env(W=100.0, L=200.0, v=0.05, lam=1.6), 50, seed=0)
+    with pytest.raises(ParameterDomainError, match="start"):
+        run_tf(s, start=start)
+
+
+def test_tf_start_at_the_strip_corners():
+    s = generate_stream(make_env(W=100.0, L=200.0, v=0.05, lam=1.6), 50, seed=0)
+    for start in ((0.0, 0.0), (100.0, 200.0), [100, 0]):
+        res = run_tf(s, start=start, trace=True)
+        assert res.trace[0].vehicle_x == start[0] and res.n_resolved == 50

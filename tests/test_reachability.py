@@ -6,6 +6,7 @@ from guardsim import (
     ContractViolationError,
     Demand,
     GraphCycleError,
+    ParameterDomainError,
     ReachGraph,
     RegimeError,
     VehicleState,
@@ -18,7 +19,7 @@ from guardsim import (
     longest_path,
 )
 
-from ._oracles import brute_reach_edges, longest_source_path_enum
+from ._oracles import brute_reach_edges, check_plan, longest_source_path_enum
 
 
 def _random_instance(rng, n_max=10, W=8.0):
@@ -117,7 +118,7 @@ def test_longest_path_chain_of_three():
     plan = longest_path(g)
     assert plan.order == [0, 1, 2] and plan.length == 3
     assert plan.capture_times == [1.0 + 10, 2.0 + 10, 3.0 + 10]
-    plan.validate()
+    check_plan(plan, VehicleState(5.0, 20.0, 0.0), demands, 2.0, 20.0)
 
 
 def test_longest_path_mutually_unreachable_pair():
@@ -152,7 +153,7 @@ def test_longest_path_matches_enumeration():
         src, edges = brute_reach_edges(arrivals, 8.0, L, v, (veh.x, veh.y), veh.t)
         assert plan.length == longest_source_path_enum(src, edges,
                                                        [d.id for d in demands])
-        plan.validate()
+        check_plan(plan, veh, demands, v, L)
 
 
 def test_longest_path_deterministic():
@@ -181,7 +182,7 @@ def test_chain_empty_and_collinear():
     same_x = [Demand(i, 1.0 + i, 5.0) for i in range(6)]
     plan = longest_chain_fast(veh, same_x, v=2.0, L=20.0)
     assert plan.length == 6 and plan.order == [0, 1, 2, 3, 4, 5]
-    plan.validate()
+    check_plan(plan, veh, same_x, 2.0, 20.0)
 
 
 def test_chain_equals_graph_dp():
@@ -191,7 +192,7 @@ def test_chain_equals_graph_dp():
         a = longest_path(build_reach_graph(veh, demands, v, L))
         b = longest_chain_fast(veh, demands, v, L)
         assert a.length == b.length
-        b.validate()
+        check_plan(b, veh, demands, v, L)
 
 
 def test_plan_feasibility_invariants():
@@ -217,3 +218,13 @@ def test_graph_to_dict_structure():
     assert d["edges"] == {"0": [1], "1": []}
     assert d["longest_path"]["order"] == [0, 1]
     assert d["source"] == {"x": 5.0, "y": 20.0, "t": 0.0}
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+def test_planners_reject_a_non_finite_vehicle_abscissa(x):
+    demands = [Demand(0, 1.0, 5.0), Demand(1, 2.0, 5.5)]
+    vehicle = VehicleState(x, 20.0, 0.0)
+    with pytest.raises(ParameterDomainError, match="finite"):
+        build_reach_graph(vehicle, demands, v=2.0, L=20.0)
+    with pytest.raises(ParameterDomainError, match="finite"):
+        longest_chain_fast(vehicle, demands, v=2.0, L=20.0)
