@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity by a different method than the package
 (brute force, exhaustive enumeration, exact rational arithmetic) so that
-agreement is evidence rather than tautology.
+agreement is evidence rather than tautology.  `lattice_stream` draws the
+small streams the property tests run them on.
 """
 from __future__ import annotations
 
@@ -11,6 +12,24 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+from hypothesis import strategies as st
+
+from guardsim import Demand, DemandStream
+
+
+# ---------------------------------------------------------------------------
+# random inputs
+
+
+def lattice_stream(data, env, max_size=8):
+    """Draw, with hypothesis's `data`, a stream on the 0.5 lattice: at most
+    max_size arrivals among 0, 0.5, ..., 20 at abscissae 0, 0.5, ..., W.
+    Deadlines and reach checks are then exact, and events often coincide."""
+    ks = sorted(data.draw(st.sets(st.integers(0, 40), max_size=max_size)))
+    xs = data.draw(st.lists(st.integers(0, int(2 * env.W)),
+                            min_size=len(ks), max_size=len(ks)))
+    return DemandStream(env, 0, [Demand(i, 0.5 * k, 0.5 * x)
+                                 for i, (k, x) in enumerate(zip(ks, xs))])
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +138,28 @@ def check_plan(plan, vehicle, demands, v, L, tol=1e-9):
         assert t_cap == d.t_arr + L / v, f"demand {i} not captured at its deadline"
         assert abs(d.x - x) <= t_cap - t + tol, f"demand {i} out of reach from x={x}, t={t}"
         x, t = d.x, t_cap
+
+
+def gp_choice(outstanding, t, x, L, v):
+    """The demand greedy pursuit chases from (x, L) at t, or None.
+
+    The reference rule, over numpy arrays and independent of the order of
+    `outstanding`: among the demands the vehicle can reach by their
+    deadlines, |x - x_i| <= (t_i + L/v) - t, take those with the smallest
+    deadline and, among them, the smallest id.
+    """
+    ds = list(outstanding)
+    if not ds:
+        return None
+    xs = np.array([d.x for d in ds])
+    dls = np.array([d.t_arr for d in ds]) + L / v
+    ok = np.abs(x - xs) <= dls - t
+    if not ok.any():
+        return None
+    idx = np.flatnonzero(ok)
+    dl = dls[idx]
+    cand = idx[dl == dl.min()]
+    return ds[int(cand[np.argmin([ds[i].id for i in cand])])]
 
 
 # ---------------------------------------------------------------------------

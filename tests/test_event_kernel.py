@@ -29,7 +29,7 @@ from guardsim import (
     write_trace_jsonl,
 )
 
-from ._oracles import check_trace
+from ._oracles import check_trace, gp_choice, lattice_stream
 
 DEADLINE_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=0.25)
 STRIP_ENV = make_env(W=100.0, L=25.0, v=0.05, lam=1.6)
@@ -186,16 +186,55 @@ LATTICE_RUNS = {
 def test_lattice_streams_conserve_and_pass_the_audit(policy, data):
     v, L = data.draw(st.sampled_from(SLOW_VL if policy == "tf" else FAST_VL))
     env = make_env(W=5.0, L=L, v=v, lam=1.0)
-    ks = sorted(data.draw(st.sets(st.integers(0, 40), max_size=8)))
-    xs = data.draw(st.lists(st.integers(0, 10), min_size=len(ks), max_size=len(ks)))
-    stream = DemandStream(env, 0, [Demand(i, 0.5 * k, 0.5 * x)
-                                   for i, (k, x) in enumerate(zip(ks, xs))])
+    stream = lattice_stream(data, env)
     x0 = 0.5 * data.draw(st.integers(0, 10))
     res = LATTICE_RUNS[policy](stream, x0, data.draw(st.sampled_from([0.5, 1.0])))
     assert res.n_capt + res.n_esc == len(stream)
     resolved = check_trace([e.to_dict() for e in res.trace], env, stream, start=(x0,))
     assert len(resolved) == len(stream)
     assert sum(e.event == "capture" for e in res.trace) == res.n_capt
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gp_chases_the_oracle_choice(data):
+    # replay the trace: after each recompute the next capture or recompute
+    # is the capture of the reference choice, or a recompute (or the end)
+    # when nothing is reachable; ids are shuffled, so the id order differs
+    # from the arrival order
+    v, L = data.draw(st.sampled_from(FAST_VL))
+    env = make_env(W=5.0, L=L, v=v, lam=1.0)
+    stream = lattice_stream(data, env, max_size=12)
+    ids = data.draw(st.permutations(range(len(stream))))
+    stream = DemandStream(env, 0, [Demand(i, d.t_arr, d.x) for i, d in zip(ids, stream)])
+    trace = run_gp(stream, start_x=0.5 * data.draw(st.integers(0, 10)), trace=True).trace
+    by_id = {d.id: d for d in stream}
+    outstanding = {}
+    for k, e in enumerate(trace):
+        if e.event == "arrival":
+            outstanding[e.demand_id] = by_id[e.demand_id]
+        elif e.event in ("capture", "escape"):
+            del outstanding[e.demand_id]
+        else:
+            want = gp_choice(outstanding.values(), e.t, e.vehicle_x, L, v)
+            nxt = next(((f.event, f.demand_id) for f in trace[k + 1:]
+                        if f.event in ("capture", "recompute")), None)
+            if want is None:
+                assert nxt in (("recompute", None), None)
+            else:
+                assert nxt == ("capture", want.id)
+
+
+def test_gp_equal_deadlines_go_to_the_smallest_id():
+    # demands 5 and 3 arrive one ulp apart, and their deadlines round to the
+    # same instant; the later arrival has the smaller id, so GP chases it
+    env = make_env(W=10.0, L=500.0, v=2.0, lam=1.0)
+    s = DemandStream(env, 0, [Demand(9, 0.5, 5.0), Demand(5, 1.0, 5.25),
+                              Demand(3, math.nextafter(1.0, 2.0), 5.25)])
+    assert s[1].escape_time(env) == s[2].escape_time(env) == 251.0
+    trace = _trace(run_gp(s, start_x=5.0, trace=True))
+    assert [e[:3] for e in trace if e[0] in ("capture", "escape")] == [
+        ("capture", 9, 250.5), ("escape", 5, 251.0), ("capture", 3, 251.0)]
 
 
 BAD_START_X = [math.nan, math.inf, -math.inf, -1e6, -0.5, 10.5, "left", (5.0,)]
