@@ -115,7 +115,8 @@ class VehicleState:
 
 @dataclass
 class DemandStream:
-    """A seeded, time-sorted batch of demands over a fixed environment.
+    """A seeded batch of demands over a fixed environment, with finite
+    arrival times t_arr >= 0 that strictly increase.
 
     Treated as immutable once built; policy simulators copy demands
     before mutating statuses, so one stream is safe to share across runs.
@@ -141,6 +142,12 @@ class DemandStream:
                 raise ContractViolationError(
                     f"demand {d.id}: abscissa {d.x} outside [0, {self.env.W}]"
                 )
+        # the deadline policies start their clock at t = 0; arrivals
+        # increase, so the first is the earliest
+        if self.demands and self.demands[0].t_arr < 0.0:
+            d = self.demands[0]
+            raise ContractViolationError(
+                f"demand {d.id}: arrival time {d.t_arr} is negative")
         if len({d.id for d in self.demands}) != len(self.demands):
             raise ContractViolationError("demand ids must be unique")
 
@@ -170,7 +177,7 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
     gaps = -np.log(u) / env.lam
     t_arr = np.cumsum(gaps)
     xs = env.W * rng.random(n_demands)       # in [0, W)
-    demands = [Demand(i, float(t_arr[i]), float(xs[i])) for i in range(n_demands)]
+    demands = [Demand(i, t, x) for i, (t, x) in enumerate(zip(t_arr.tolist(), xs.tolist()))]
     return DemandStream(env=env, seed=seed, demands=demands)
 
 

@@ -16,8 +16,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Demand, DemandStream, VehicleState
 from .errors import ContractViolationError, ParameterDomainError, RegimeError
 from .reachability import build_reach_graph, longest_chain_fast, longest_path
@@ -79,8 +77,9 @@ class _EventKernel:
     The kernel holds private copies of a stream's demands.  It admits their
     arrivals and fires their escapes in time order while the policy moves
     the vehicle along motion legs and captures.  It owns the pending
-    arrivals, the outstanding demands, a lazy escape heap, the current leg,
-    the counters and the trace.
+    arrivals, the outstanding demands (kept in arrival order, on which GP's
+    scan relies), a lazy escape heap, the current leg, the counters and
+    the trace.
 
     A leg is (t0, x_from, x_to, dur).  On the deadline (v >= 1) the vehicle
     slides at unit speed, x = x_from +- (t - t0), and waits at x_to from
@@ -282,24 +281,22 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
 
 def run_gp(stream: DemandStream, start_x: float | None = None,
            trace: bool = False) -> RunResult:
-    """Greedy path: always chase the reachable demand closest to escaping."""
+    """Greedy path: chase the reachable demand with the earliest deadline,
+    the smallest id among equal ones.  `outstanding` is in arrival order,
+    so deadlines never decrease along it and the scan stops past the first
+    reachable one: O(k) for the k demands up to there, usually a few."""
     env = stream.env
     sim = _EventKernel(stream, start_x, trace)
+    l_v = env.L / env.v
 
     def planner(t, x):
-        if not sim.outstanding:
-            return []
-        ds = list(sim.outstanding.values())
-        xs = np.array([d.x for d in ds])
-        dls = np.array([d.t_arr for d in ds]) + env.L / env.v
-        ok = np.abs(x - xs) <= dls - t
-        if not ok.any():
-            return []
-        idx = np.flatnonzero(ok)
-        dl = dls[idx]
-        tie = dl == dl.min()
-        cand = idx[tie]
-        best = cand[np.argmin([ds[i].id for i in cand])]
-        return [ds[int(best)]]
+        best = None
+        for d in sim.outstanding.values():
+            dl = d.t_arr + l_v
+            if best is not None and dl > best_dl:
+                break
+            if abs(x - d.x) <= dl - t and (best is None or d.id < best.id):
+                best, best_dl = d, dl
+        return [best] if best else []
 
     return _run(sim, planner)

@@ -149,8 +149,6 @@ def gp_choice(outstanding, t, x, L, v):
     deadline and, among them, the smallest id.
     """
     ds = list(outstanding)
-    if not ds:
-        return None
     xs = np.array([d.x for d in ds])
     dls = np.array([d.t_arr for d in ds]) + L / v
     ok = np.abs(x - xs) <= dls - t

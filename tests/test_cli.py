@@ -173,6 +173,18 @@ def test_cli_malformed_stream_record(tmp_path, capsys):
     assert err.startswith("error:") and "line 3" in err and "'x'" in err
 
 
+def test_cli_stream_with_a_negative_arrival(tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    path.write_text('{"env": {"W": 10, "L": 20, "v": 2, "lam": 1}, "seed": 0}\n'
+                    '{"id": 0, "t_arr": -3.0, "x": 2.0}\n'
+                    '{"id": 1, "t_arr": 1.0, "x": 4.0}\n')
+    rc = main(["graph", "--stream", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "negative" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_tmhp_solve_non_finite_coordinates(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     for field, value in (("points", [[1.0, float("nan")], [2.0, 2.0]]),

@@ -15,6 +15,7 @@ from guardsim import (
     make_env,
     read_stream_jsonl,
     region_count,
+    run_gp,
     write_stream_jsonl,
 )
 
@@ -88,6 +89,24 @@ def test_stream_rejects_non_finite_arrival(t_arr):
         DemandStream(env, 0, [Demand(0, 1.0, 5.0), Demand(1, t_arr, 6.0)])
     with pytest.raises(ContractViolationError):
         DemandStream(env, 0, [Demand(0, t_arr, 5.0), Demand(1, 2.0, 6.0)])
+
+
+def test_stream_rejects_negative_arrivals():
+    # the deadline policies start their clock at t = 0, so on this stream
+    # their traces would run backwards in time
+    env = make_env(W=10, L=20, v=2, lam=1)
+    with pytest.raises(ContractViolationError, match="negative"):
+        DemandStream(env, 0, [Demand(0, -50.0, 5.0), Demand(1, -3.0, 6.0),
+                              Demand(2, 1.0, 7.0)])
+    with pytest.raises(ContractViolationError, match="negative"):
+        DemandStream(env, 0, [Demand(0, -1e-300, 5.0)])
+
+
+def test_stream_may_start_at_time_zero():
+    env = make_env(W=10, L=20, v=2, lam=1)
+    s = DemandStream(env, 0, [Demand(0, 0.0, 5.0), Demand(1, 3.0, 6.0)])
+    assert [d.t_arr for d in s] == [0.0, 3.0]
+    assert run_gp(s, start_x=5.0).n_capt == 2
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

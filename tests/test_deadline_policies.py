@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardsim import (
     Demand,
@@ -18,7 +20,7 @@ from guardsim import (
     write_trace_jsonl,
 )
 
-from ._oracles import check_trace
+from ._oracles import check_trace, lattice_stream
 
 FAST_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=1.0)
 
@@ -135,6 +137,28 @@ def test_per_stream_dominance():
         top = run_nclp(s).n_capt
         assert run_lp(s, eta=1.0).n_capt <= top
         assert run_gp(s).n_capt <= top
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_nclp_bounds_lp_and_gp_on_every_stream(data):
+    # every deadline capture order is a path of NCLP's graph, so no causal
+    # policy captures more on the same stream and start
+    if data.draw(st.booleans(), label="lattice"):
+        env = make_env(W=5.0, L=0.5 * data.draw(st.integers(1, 10)),
+                       v=data.draw(st.sampled_from([1.0, 2.0])), lam=1.0)
+        s = lattice_stream(data, env)
+        x0 = 0.5 * data.draw(st.integers(0, 10))
+    else:
+        env = make_env(W=40.0, L=100.0, v=data.draw(st.sampled_from([1.0, 1.5, 3.0])),
+                       lam=data.draw(st.sampled_from([0.5, 1.2, 3.0])))
+        s = generate_stream(env, data.draw(st.integers(0, 80)),
+                            seed=data.draw(st.integers(0, 10 ** 6)))
+        x0 = data.draw(st.floats(0.0, env.W))
+    top = run_nclp(s, start_x=x0).n_capt
+    for eta in (0.5, 1.0):
+        assert run_lp(s, start_x=x0, eta=eta).n_capt <= top
+    assert run_gp(s, start_x=x0).n_capt <= top
 
 
 def test_gp_below_lp_statistically():

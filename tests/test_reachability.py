@@ -1,6 +1,8 @@
 """Reachability predicate, graph construction, and longest-path planning."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardsim import (
     ContractViolationError,
@@ -17,9 +19,11 @@ from guardsim import (
     is_reachable,
     longest_chain_fast,
     longest_path,
+    make_env,
 )
 
-from ._oracles import brute_reach_edges, check_plan, longest_source_path_enum
+from ._oracles import (brute_reach_edges, check_plan, lattice_stream,
+                       longest_source_path_enum)
 
 
 def _random_instance(rng, n_max=10, W=8.0):
@@ -193,6 +197,30 @@ def test_chain_equals_graph_dp():
         b = longest_chain_fast(veh, demands, v, L)
         assert a.length == b.length
         check_plan(b, veh, demands, v, L)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chain_equals_graph_dp_from_any_vehicle_state(data):
+    # a vehicle on the deadline at a drawn (x, t), over the demands not yet
+    # escaped by t, from a 0.5-lattice stream (exact ties) or a uniform one
+    if data.draw(st.booleans(), label="lattice"):
+        v = data.draw(st.sampled_from([1.0, 2.0]))
+        L = 0.5 * data.draw(st.integers(1, 10))
+        env = make_env(W=5.0, L=L, v=v, lam=1.0)
+        demands = list(lattice_stream(data, env, max_size=12))
+        veh = VehicleState(0.5 * data.draw(st.integers(0, 10)), L,
+                           0.5 * data.draw(st.integers(0, 40)))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        demands, v, L, _ = _random_instance(rng, n_max=40)
+        veh = VehicleState(float(rng.random() * 8.0), L, float(rng.random() * 15.0))
+    demands = [d for d in demands if d.t_arr + L / v > veh.t]
+    a = longest_path(build_reach_graph(veh, demands, v, L))
+    b = longest_chain_fast(veh, demands, v, L)
+    assert a.length == b.length
+    check_plan(a, veh, demands, v, L)
+    check_plan(b, veh, demands, v, L)
 
 
 def test_plan_feasibility_invariants():
