@@ -9,9 +9,9 @@ bounds, and provides a Monte-Carlo harness with CSV/SVG output.
 
 from .bounds import (BETA_TSP, applicable_bounds, causal_upper_bound, erf,
                      lp_competitive_factor, lp_lower_bound, tf_lower_bound)
-from .core import (Demand, DemandStatus, DemandStream, EnvParams, VehicleState,
-                   demand_position, generate_stream, make_env, read_stream_jsonl,
-                   region_count, write_stream_jsonl)
+from .core import (Demand, DemandStream, EnvParams, VehicleState, demand_position,
+                   generate_stream, make_env, read_stream_jsonl, region_count,
+                   write_stream_jsonl)
 from .deadline_policies import (RunResult, TraceEvent, run_gp, run_lp, run_nclp,
                                 write_trace_jsonl)
 from .errors import (ContractViolationError, GraphCycleError,
@@ -32,7 +32,7 @@ __all__ = [
     "BETA_TSP", "EXACT_SOLVER_CAP",
     "ContractViolationError", "GraphCycleError", "ParameterDomainError",
     "RegimeError", "SizeLimitError",
-    "Demand", "DemandStatus", "DemandStream", "EnvParams", "VehicleState",
+    "Demand", "DemandStream", "EnvParams", "VehicleState",
     "demand_position", "generate_stream", "make_env", "read_stream_jsonl",
     "region_count", "write_stream_jsonl",
     "erf", "lp_lower_bound", "lp_competitive_factor", "causal_upper_bound",

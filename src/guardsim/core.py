@@ -14,7 +14,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,22 +48,6 @@ def make_env(W: float, L: float, v: float, lam: float) -> EnvParams:
     return EnvParams(float(W), float(L), float(v), float(lam))
 
 
-class DemandStatus(str, Enum):
-    PENDING = "pending"          # generated but not yet arrived
-    OUTSTANDING = "outstanding"  # arrived, not yet resolved
-    CAPTURED = "captured"
-    ESCAPED = "escaped"
-
-
-# legal transitions: pending -> outstanding -> {captured, escaped}
-_NEXT_STATUS = {
-    DemandStatus.PENDING: {DemandStatus.OUTSTANDING},
-    DemandStatus.OUTSTANDING: {DemandStatus.CAPTURED, DemandStatus.ESCAPED},
-    DemandStatus.CAPTURED: set(),
-    DemandStatus.ESCAPED: set(),
-}
-
-
 @dataclass
 class Demand:
     """One arrival: shows up at (x, 0) at time t_arr and rises at speed v."""
@@ -72,31 +55,10 @@ class Demand:
     id: int
     t_arr: float
     x: float
-    status: DemandStatus = DemandStatus.PENDING
-    resolve_time: float | None = None
 
     def escape_time(self, env: EnvParams) -> float:
         """Instant the demand reaches the deadline: t_arr + L/v."""
         return self.t_arr + env.L / env.v
-
-    def _transition(self, new: DemandStatus) -> None:
-        if new not in _NEXT_STATUS[self.status]:
-            raise ContractViolationError(
-                f"demand {self.id}: illegal status transition "
-                f"{self.status.value} -> {new.value}"
-            )
-        self.status = new
-
-    def mark_outstanding(self) -> None:
-        self._transition(DemandStatus.OUTSTANDING)
-
-    def mark_captured(self, t: float) -> None:
-        self._transition(DemandStatus.CAPTURED)
-        self.resolve_time = t
-
-    def mark_escaped(self, t: float) -> None:
-        self._transition(DemandStatus.ESCAPED)
-        self.resolve_time = t
 
 
 def demand_position(demand: Demand, v: float, t: float) -> tuple[float, float]:
@@ -118,8 +80,8 @@ class DemandStream:
     """A seeded batch of demands over a fixed environment, with finite
     arrival times t_arr >= 0 that strictly increase.
 
-    Treated as immutable once built; policy simulators copy demands
-    before mutating statuses, so one stream is safe to share across runs.
+    Treated as immutable once built; no policy writes to a demand, so one
+    stream is safe to share across runs.
     """
 
     env: EnvParams

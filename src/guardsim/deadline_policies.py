@@ -74,12 +74,12 @@ def write_trace_jsonl(result: RunResult, path: str) -> None:
 class _EventKernel:
     """Event bookkeeping shared by both regimes; a policy adds its planner.
 
-    The kernel holds private copies of a stream's demands.  It admits their
-    arrivals and fires their escapes in time order while the policy moves
-    the vehicle along motion legs and captures.  It owns the pending
-    arrivals, the outstanding demands (kept in arrival order, on which GP's
-    scan relies), a lazy escape heap, the current leg, the counters and
-    the trace.
+    The kernel reads the stream's demands and never writes to them.  It
+    admits their arrivals and fires their escapes in time order while the
+    policy moves the vehicle along motion legs and captures.  It alone owns
+    a demand's state: the pending arrivals, the outstanding demands (kept
+    in arrival order, on which GP's scan relies), a lazy escape heap, the
+    current leg, the counters and the trace.
 
     A leg is (t0, x_from, x_to, dur).  On the deadline (v >= 1) the vehicle
     slides at unit speed, x = x_from +- (t - t0), and waits at x_to from
@@ -107,13 +107,11 @@ class _EventKernel:
         self.env = env
         self.strip = strip
         self.start = _check_start(env, start, strip)
-        self.demands = [Demand(d.id, d.t_arr, d.x, d.status, d.resolve_time)
-                        for d in stream]   # private copies
-        self.by_id = {d.id: d for d in self.demands}
+        self.demands = stream.demands
         self.pending = deque(self.demands)            # arrivals in time order
         self.outstanding: dict[int, Demand] = {}
         self.protected: set[int] = set()
-        self.esc_heap: list[tuple[float, int, Demand]] = []
+        self.esc_heap: list[tuple[float, int]] = []
         self.events: list[TraceEvent] | None = [] if trace else None
         self.n_capt = 0
         self.n_esc = 0
@@ -137,8 +135,8 @@ class _EventKernel:
         protected, events = self.protected, self.events
         while True:
             while heap:
-                t_e, i, d = heap[0]
-                if i not in protected and d.resolve_time is None:
+                t_e, i = heap[0]
+                if i not in protected and i in outstanding:
                     break
                 heapq.heappop(heap)
             else:
@@ -147,15 +145,13 @@ class _EventKernel:
             if heap and t_e <= t_end and t_e <= t_a:
                 heapq.heappop(heap)
                 del outstanding[i]
-                d.mark_escaped(t_e)
                 self.n_esc += 1
                 if events is not None:
                     events.append(TraceEvent(t_e, "escape", i, self._x_at(t_e)))
             elif t_a < t_e and (t_a <= t_end if inclusive_arrivals else t_a < t_end):
                 d = pending.popleft()
-                d.mark_outstanding()
                 outstanding[d.id] = d
-                heapq.heappush(heap, (d.escape_time(self.env), d.id, d))
+                heapq.heappush(heap, (d.escape_time(self.env), d.id))
                 if events is not None:
                     events.append(TraceEvent(t_a, "arrival", d.id, self._x_at(t_a)))
             else:
@@ -163,9 +159,10 @@ class _EventKernel:
 
     def capture(self, d: Demand, t: float) -> None:
         """Capture outstanding d at t; the vehicle is then at d.x."""
-        del self.outstanding[d.id]
+        if self.outstanding.pop(d.id, None) is None:
+            raise ContractViolationError(
+                f"demand {d.id} is not outstanding at t={t}")
         self.protected.discard(d.id)
-        d.mark_captured(t)
         self.n_capt += 1
         if self.events is not None:
             self.events.append(TraceEvent(t, "capture", d.id, d.x))
@@ -253,7 +250,8 @@ def run_nclp(stream: DemandStream, start_x: float | None = None,
         raise ParameterDomainError(f"unknown method {method!r}")
     sim.recompute(0.0, x0)
     sim.advance(0.0, True)
-    _execute(sim, [sim.by_id[i] for i in plan.order], 0.0, x0)
+    by_id = {d.id: d for d in sim.demands}
+    _execute(sim, [by_id[i] for i in plan.order], 0.0, x0)
     return sim.finish()
 
 
@@ -274,7 +272,7 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
         plan = longest_chain_fast(VehicleState(x, env.L, t),
                                   list(sim.outstanding.values()), env.v, env.L)
         k = math.ceil(eta * plan.length)
-        return [sim.by_id[i] for i in plan.order[:k]]
+        return [sim.outstanding[i] for i in plan.order[:k]]
 
     return _run(sim, planner)
 

@@ -80,6 +80,8 @@ def _check_regime_and_state(vehicle: VehicleState, demands, v: float, L: float) 
         raise RegimeError(f"deadline reachability needs v >= 1, got v={v}")
     if not math.isfinite(vehicle.x):
         raise ParameterDomainError(f"vehicle abscissa must be finite, got x={vehicle.x}")
+    if not math.isfinite(vehicle.t):
+        raise ParameterDomainError(f"vehicle time must be finite, got t={vehicle.t}")
     if vehicle.y != L:
         raise ContractViolationError(
             f"vehicle must sit on the deadline y={L}, got y={vehicle.y}"

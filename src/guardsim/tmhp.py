@@ -743,7 +743,7 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
         t_stop = t + L / (2.0 * v)
 
         for d in targets:
-            if d.resolve_time is not None:
+            if d.id not in sim.outstanding:
                 continue          # escaped at the budget boundary mid-path
             now = (d.x, v * (t - d.t_arr))
             T = _intercept_time(pos, now, v)

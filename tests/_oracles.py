@@ -183,6 +183,14 @@ def emhp_brute(s, points, f):
     permutation (np.argmin takes the first minimum; permutations enumerate
     in lexicographic order).
     """
+    P, lengths = emhp_brute_lengths(s, points, f)
+    best = int(np.argmin(lengths))
+    return float(lengths[best]), [int(i) for i in P[best]]
+
+
+def emhp_brute_lengths(s, points, f):
+    """Every order of points (rows of P, lexicographic) and the length of
+    the path s -> points in that order -> f, summed as in emhp_brute."""
     n = len(points)
     P = _perm_array(n)
     all_pts = np.vstack([np.asarray(s, dtype=float)[None, :],
@@ -194,8 +202,7 @@ def emhp_brute(s, points, f):
     for k in range(1, n):
         lengths += D[P[:, k - 1] + 1, P[:, k] + 1]
     lengths += D[P[:, n - 1] + 1, n + 1]
-    best = int(np.argmin(lengths))
-    return float(lengths[best]), [int(i) for i in P[best]]
+    return P, lengths
 
 
 def _dense_dist_matrix(all_pts: np.ndarray) -> np.ndarray:

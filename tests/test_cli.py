@@ -227,3 +227,16 @@ def test_graph_rejects_a_non_finite_start(tmp_path, capsys):
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("t0", ["nan", "inf"])
+def test_graph_rejects_a_non_finite_start_time(tmp_path, capsys, t0):
+    path = str(tmp_path / "s.jsonl")
+    main(["gen-stream", "--W", "10", "--L", "20", "--v", "2", "--lam", "1",
+          "--n-demands", "12", "--seed", "5", "--out", path])
+    capsys.readouterr()
+    rc = main(["graph", "--stream", path, "--t0", t0])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "finite" in captured.err
+    assert captured.out == ""

@@ -7,7 +7,6 @@ import pytest
 from guardsim import (
     ContractViolationError,
     Demand,
-    DemandStatus,
     DemandStream,
     ParameterDomainError,
     demand_position,
@@ -43,23 +42,7 @@ def test_make_env_rejects_bad_parameters():
 def test_demand_lifecycle():
     env = make_env(W=10, L=20, v=0.5, lam=1)
     d = Demand(0, t_arr=3.0, x=4.0)
-    assert d.status is DemandStatus.PENDING
     assert d.escape_time(env) == 3.0 + 20 / 0.5
-    d.mark_outstanding()
-    d.mark_captured(17.0)
-    assert d.status is DemandStatus.CAPTURED and d.resolve_time == 17.0
-
-
-def test_demand_illegal_transitions():
-    d = Demand(0, 0.0, 0.0)
-    with pytest.raises(ContractViolationError):
-        d.mark_captured(1.0)          # pending -> captured skips arrival
-    d.mark_outstanding()
-    d.mark_escaped(5.0)
-    with pytest.raises(ContractViolationError):
-        d.mark_captured(6.0)          # already resolved
-    with pytest.raises(ContractViolationError):
-        d.mark_outstanding()
 
 
 def test_demand_position_translates_up():
@@ -172,7 +155,6 @@ def test_generate_stream_shape():
     assert np.all(np.diff(ts) > 0)
     assert np.all((xs >= 0) & (xs < env.W))
     assert [d.id for d in s] == list(range(500))
-    assert all(d.status is DemandStatus.PENDING for d in s)
 
 
 def test_generate_stream_statistics():

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardsim import (
+    ContractViolationError,
     Demand,
     DemandStream,
     ParameterDomainError,
@@ -28,6 +29,7 @@ from guardsim import (
     run_tf,
     write_trace_jsonl,
 )
+from guardsim.deadline_policies import _EventKernel
 
 from ._oracles import check_trace, gp_choice, lattice_stream
 
@@ -272,3 +274,29 @@ def test_tf_start_at_the_strip_corners():
     for start in ((0.0, 0.0), (100.0, 200.0), [100, 0]):
         res = run_tf(s, start=start, trace=True)
         assert res.trace[0].vehicle_x == start[0] and res.n_resolved == 50
+
+
+def test_kernel_rejects_a_capture_of_a_demand_not_outstanding():
+    s = DemandStream(DEADLINE_ENV, 0, [Demand(0, 1.0, 50.0), Demand(1, 3.0, 70.0)])
+    sim = _EventKernel(s, None, False)
+    sim.advance(3.0, True)
+    sim.capture(s[0], 10.0)
+    with pytest.raises(ContractViolationError, match="demand 0"):
+        sim.capture(s[0], 11.0)           # already captured
+    sim = _EventKernel(s, None, False)
+    sim.advance(2.0, True)
+    with pytest.raises(ContractViolationError, match="demand 1"):
+        sim.capture(s[1], 2.0)            # has not arrived yet
+
+
+def test_one_stream_is_safe_to_share_across_policies():
+    # the same Demand objects go through all four policies, twice, interleaved
+    deadline = generate_stream(make_env(W=100.0, L=500.0, v=2.0, lam=0.25), 300, seed=8)
+    strip = DemandStream(make_env(W=100.0, L=25.0, v=0.05, lam=0.25), 8, deadline.demands)
+    before = [(d.id, d.t_arr, d.x) for d in deadline]
+    runs = [lambda: run_nclp(deadline, trace=True), lambda: run_lp(deadline, trace=True),
+            lambda: run_gp(deadline, trace=True), lambda: run_tf(strip, trace=True)]
+    first = [[e.to_dict() for e in run().trace] for run in runs]
+    second = [[e.to_dict() for e in run().trace] for run in runs]
+    assert first == second
+    assert [(d.id, d.t_arr, d.x) for d in deadline] == before

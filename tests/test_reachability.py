@@ -256,3 +256,13 @@ def test_planners_reject_a_non_finite_vehicle_abscissa(x):
         build_reach_graph(vehicle, demands, v=2.0, L=20.0)
     with pytest.raises(ParameterDomainError, match="finite"):
         longest_chain_fast(vehicle, demands, v=2.0, L=20.0)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_planners_reject_a_non_finite_vehicle_time(t):
+    demands = [Demand(0, 1.0, 5.0), Demand(1, 2.0, 5.5)]
+    vehicle = VehicleState(5.0, 20.0, t)
+    with pytest.raises(ParameterDomainError, match="finite"):
+        build_reach_graph(vehicle, demands, v=2.0, L=20.0)
+    with pytest.raises(ParameterDomainError, match="finite"):
+        longest_chain_fast(vehicle, demands, v=2.0, L=20.0)

@@ -29,7 +29,7 @@ from guardsim import (
 from guardsim import tmhp
 from guardsim.tmhp import _improvable, _local_search, _neighbours
 
-from ._oracles import (check_trace, emhp_brute, emhp_heuristic_dense,
+from ._oracles import (check_trace, emhp_brute, emhp_brute_lengths, emhp_heuristic_dense,
                        emhp_nn_start, fold_length, improving_candidate_moves,
                        knn_brute, tour_nn_start, tour_two_opt_dense)
 
@@ -121,6 +121,24 @@ def test_emhp_exact_matches_brute_force():
         order, length = emhp_exact(s, pts, f)
         blen, border = emhp_brute(s, pts, f)
         assert length == blen             # exact float equality, same fold order
+        assert order == border
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7), step=st.sampled_from([0.5, 1.0]))
+def test_emhp_exact_matches_brute_force_on_lattices(data, n, step):
+    # few lattice sites, so duplicate points and equal-length orders occur
+    site = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+        lambda p: (step * p[0], step * p[1]))
+    s, f = data.draw(site), data.draw(site)
+    pts = data.draw(st.lists(site, min_size=n, max_size=n))
+    order, length = emhp_exact(s, pts, f)
+    P, lengths = emhp_brute_lengths(s, pts, f)
+    blen, border = emhp_brute(s, pts, f)
+    assert length == blen
+    assert sorted(order) == list(range(n))
+    assert fold_length([s] + pts + [f], [0] + [k + 1 for k in order] + [n + 1]) == length
+    if (lengths == blen).sum() == 1:
         assert order == border
 
 
