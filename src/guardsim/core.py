@@ -48,7 +48,7 @@ def make_env(W: float, L: float, v: float, lam: float) -> EnvParams:
     return EnvParams(float(W), float(L), float(v), float(lam))
 
 
-@dataclass
+@dataclass(slots=True)
 class Demand:
     """One arrival: shows up at (x, 0) at time t_arr and rises at speed v."""
 
@@ -139,7 +139,7 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
     gaps = -np.log(u) / env.lam
     t_arr = np.cumsum(gaps)
     xs = env.W * rng.random(n_demands)       # in [0, W)
-    demands = [Demand(i, t, x) for i, (t, x) in enumerate(zip(t_arr.tolist(), xs.tolist()))]
+    demands = list(map(Demand, range(n_demands), t_arr.tolist(), xs.tolist()))
     return DemandStream(env=env, seed=seed, demands=demands)
 
 

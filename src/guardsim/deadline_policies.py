@@ -10,7 +10,6 @@ of `tmhp`; its docstring gives the order of simultaneous events.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import deque
@@ -78,7 +77,8 @@ class _EventKernel:
     admits their arrivals and fires their escapes in time order while the
     policy moves the vehicle along motion legs and captures.  It alone owns
     a demand's state: the pending arrivals, the outstanding demands (kept
-    in arrival order, on which GP's scan relies), a lazy escape heap, the
+    in arrival order, on which GP's scan relies), the escape queue (each
+    demand escapes L/v after it arrives, so in arrival order too), the
     current leg, the counters and the trace.
 
     A leg is (t0, x_from, x_to, dur).  On the deadline (v >= 1) the vehicle
@@ -89,7 +89,7 @@ class _EventKernel:
 
     Ties: in `advance` an escape fires before an arrival at the same
     instant, and before the capture the policy makes at t_end; escapes at
-    one instant fire in demand-id order.  Protected demands (committed
+    one instant fire in arrival order.  Protected demands (committed
     targets) never escape.  The policies order the rest:
     - deadline: capture, recompute, arrival, recompute.  LP and GP replan
       at a capture instant before they admit the arrival there, and again
@@ -111,7 +111,8 @@ class _EventKernel:
         self.pending = deque(self.demands)            # arrivals in time order
         self.outstanding: dict[int, Demand] = {}
         self.protected: set[int] = set()
-        self.esc_heap: list[tuple[float, int]] = []
+        self.escapes: deque[Demand] = deque()
+        self.l_v = env.L / env.v
         self.events: list[TraceEvent] | None = [] if trace else None
         self.n_capt = 0
         self.n_esc = 0
@@ -131,27 +132,26 @@ class _EventKernel:
     def advance(self, t_end: float, inclusive_arrivals: bool) -> None:
         """Fire escapes through t_end and arrivals before it (through it if
         inclusive_arrivals), in time order."""
-        heap, pending, outstanding = self.esc_heap, self.pending, self.outstanding
-        protected, events = self.protected, self.events
+        escapes, pending, outstanding = self.escapes, self.pending, self.outstanding
+        protected, events, l_v = self.protected, self.events, self.l_v
         while True:
-            while heap:
-                t_e, i = heap[0]
-                if i not in protected and i in outstanding:
+            while escapes:
+                e = escapes[0]
+                if e.id not in protected and e.id in outstanding:
                     break
-                heapq.heappop(heap)
-            else:
-                t_e = math.inf
+                escapes.popleft()
+            t_e = e.t_arr + l_v if escapes else math.inf
             t_a = pending[0].t_arr if pending else math.inf
-            if heap and t_e <= t_end and t_e <= t_a:
-                heapq.heappop(heap)
-                del outstanding[i]
+            if escapes and t_e <= t_end and t_e <= t_a:
+                escapes.popleft()
+                del outstanding[e.id]
                 self.n_esc += 1
                 if events is not None:
-                    events.append(TraceEvent(t_e, "escape", i, self._x_at(t_e)))
+                    events.append(TraceEvent(t_e, "escape", e.id, self._x_at(t_e)))
             elif t_a < t_e and (t_a <= t_end if inclusive_arrivals else t_a < t_end):
                 d = pending.popleft()
                 outstanding[d.id] = d
-                heapq.heappush(heap, (d.escape_time(self.env), d.id))
+                escapes.append(d)
                 if events is not None:
                     events.append(TraceEvent(t_a, "arrival", d.id, self._x_at(t_a)))
             else:
@@ -283,9 +283,8 @@ def run_gp(stream: DemandStream, start_x: float | None = None,
     the smallest id among equal ones.  `outstanding` is in arrival order,
     so deadlines never decrease along it and the scan stops past the first
     reachable one: O(k) for the k demands up to there, usually a few."""
-    env = stream.env
     sim = _EventKernel(stream, start_x, trace)
-    l_v = env.L / env.v
+    l_v = sim.l_v
 
     def planner(t, x):
         best = None

@@ -229,7 +229,7 @@ def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> Pa
         w = d.t_arr + d.x
         if u >= u_s and w >= w_s:
             items.append((u, w, d.id, d))
-    items.sort(key=lambda r: (r[0], r[1], r[2]))
+    items.sort()                    # ids are unique: no Demand is compared
     if not items:
         return PathPlan(order=[], capture_times=[], length=0)
 

@@ -426,14 +426,18 @@ def check_trace(events, env, stream, start, tol=1e-9):
     Asserts: nondecreasing times, vehicle_x within [0, W] when present,
     vehicle horizontal speed <= 1 between consecutive position reports,
     every capture is of a demand that arrived and had not yet escaped or
-    been captured, every demand resolves at most once, and capture events
-    happen at or before the demand's escape time.
+    been captured, every demand resolves at most once, capture events
+    happen at or before the demand's escape time, and escapes come in
+    arrival order (each demand escapes L/v after it arrives), also when
+    several fall on one instant.
     """
     last_t = -math.inf
     last_pos = (start[0], None)
     resolved = {}
     arrived = set()
     by_id = {d.id: d for d in stream.demands}
+    rank = {d.id: k for k, d in enumerate(stream.demands)}   # arrival order
+    last_escaped = -1
     for ev in events:
         t = ev["t"]
         assert t >= last_t - tol, f"time went backwards at {ev}"
@@ -458,5 +462,7 @@ def check_trace(events, env, stream, start, tol=1e-9):
                 assert t <= esc + tol, f"capture after escape time: {ev}"
             else:
                 assert abs(t - esc) <= tol, f"escape at wrong time: {ev}"
+                assert rank[i] > last_escaped, f"escape out of arrival order: {ev}"
+                last_escaped = rank[i]
         last_t = t
     return resolved

@@ -131,6 +131,30 @@ def test_deadline_escape_at_capture_instant(runner, replans):
     assert _trace(runner(s, start_x=2.0, trace=True)) == expected
 
 
+@pytest.mark.parametrize("runner", [run_lp, run_gp])
+def test_deadline_escapes_at_one_instant_fire_in_arrival_order(runner):
+    # three demands reach the deadline at T_TIE, ids descending in arrival
+    # order; demand 2 arrives alone, so LP and GP commit to it and wait at
+    # x = 2, where they cannot capture the others too: 1 and 0 escape, in
+    # arrival order, before the capture
+    s = DemandStream(ESCAPE_TIE_ENV, 0, [Demand(2, 1.0, 2.0),
+                                         Demand(1, 1.0 + 2.0 ** -40, 5.0),
+                                         Demand(0, 1.0 + 2.0 ** -39, 8.0)])
+    assert {d.escape_time(ESCAPE_TIE_ENV) for d in s} == {T_TIE}
+    expected = [
+        ("recompute", None, 0.0, 2.0),
+        ("arrival", 2, 1.0, 2.0),
+        ("recompute", None, 1.0, 2.0),
+        ("arrival", 1, 1.0 + 2.0 ** -40, 2.0),
+        ("arrival", 0, 1.0 + 2.0 ** -39, 2.0),
+        ("escape", 1, T_TIE, 2.0),
+        ("escape", 0, T_TIE, 2.0),
+        ("capture", 2, T_TIE, 2.0),
+        ("recompute", None, T_TIE, 2.0),
+    ]
+    assert _trace(runner(s, start_x=2.0, trace=True)) == expected
+
+
 def test_tf_arrival_at_capture_instant():
     # the vehicle sits 6 above demand 0 in its column and closes at 1 + v,
     # so it captures at t = 6 / 1.5 = 4, when demand 1 arrives:
@@ -197,6 +221,28 @@ def test_lattice_streams_conserve_and_pass_the_audit(policy, data):
     assert sum(e.event == "capture" for e in res.trace) == res.n_capt
 
 
+@pytest.mark.parametrize("policy", ["nclp", "lp", "gp"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_escape_ties_fire_in_arrival_order(policy, data):
+    # arrivals 1 + k 2**-40 (or 2 + k 2**-40) with k < 128 lie within half
+    # an ulp of 2**20 + 1, so they all reach the deadline at T_TIE (or
+    # T_TIE + 1); ids are shuffled, so the id order differs from the
+    # arrival order, which the audit checks escapes against
+    ks = sorted(data.draw(st.sets(st.integers(0, 255), min_size=1, max_size=8)))
+    ts = [1.0 + (k // 128) + (k % 128) * 2.0 ** -40 for k in ks]
+    xs = data.draw(st.lists(st.integers(0, 20), min_size=len(ks), max_size=len(ks)))
+    ids = data.draw(st.permutations(range(len(ks))))
+    stream = DemandStream(ESCAPE_TIE_ENV, 0, [Demand(i, t, 0.5 * x)
+                                              for i, t, x in zip(ids, ts, xs)])
+    assert {d.escape_time(ESCAPE_TIE_ENV) for d in stream} <= {T_TIE, T_TIE + 1.0}
+    x0 = 0.5 * data.draw(st.integers(0, 20))
+    res = LATTICE_RUNS[policy](stream, x0, data.draw(st.sampled_from([0.5, 1.0])))
+    resolved = check_trace([e.to_dict() for e in res.trace], ESCAPE_TIE_ENV, stream,
+                           start=(x0,))
+    assert len(resolved) == len(stream) == res.n_capt + res.n_esc
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_gp_chases_the_oracle_choice(data):
@@ -209,7 +255,9 @@ def test_gp_chases_the_oracle_choice(data):
     stream = lattice_stream(data, env, max_size=12)
     ids = data.draw(st.permutations(range(len(stream))))
     stream = DemandStream(env, 0, [Demand(i, d.t_arr, d.x) for i, d in zip(ids, stream)])
-    trace = run_gp(stream, start_x=0.5 * data.draw(st.integers(0, 10)), trace=True).trace
+    x0 = 0.5 * data.draw(st.integers(0, 10))
+    trace = run_gp(stream, start_x=x0, trace=True).trace
+    check_trace([e.to_dict() for e in trace], env, stream, start=(x0,))
     by_id = {d.id: d for d in stream}
     outstanding = {}
     for k, e in enumerate(trace):
