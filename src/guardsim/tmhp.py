@@ -23,7 +23,8 @@ from .errors import ContractViolationError, ParameterDomainError, SizeLimitError
 EXACT_SOLVER_CAP = 13        # Held-Karp subset table stays under 2^13 * 13 cells
 
 _IMPROVE_EPS = 1e-12         # accepted local-search moves must beat this
-_SMALL_HEURISTIC_CAP = 64    # above this, search only near-neighbour moves
+_SMALL_HEURISTIC_CAP = 64    # up to this, complete candidate lists and several starts
+_STARTS = 8                  # starts of a small search; 4 miss acceptance 09's 1.05 gate
 _NEIGHBOURS = 10             # candidate list length of the large-n search
 _NEIGHBOUR_CHUNK = 1 << 13   # candidate pairs _neighbours examines at once
 
@@ -32,6 +33,18 @@ def _check_speed(v: float) -> None:
     if not isinstance(v, (int, float)) or isinstance(v, bool) or \
             not 0.0 < float(v) < 1.0:
         raise ParameterDomainError(f"translation speed must lie in (0, 1), got {v!r}")
+
+
+def _finite_xy(point, name: str):
+    """point as two finite numbers (x, y); anything else raises."""
+    try:
+        x, y = point
+        ok = math.isfinite(x) and math.isfinite(y)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ParameterDomainError(f"{name}: expected finite (x, y) coordinates, got {point!r}")
+    return x, y
 
 
 def _g_map(point, v: float):
@@ -43,13 +56,13 @@ def _g_map(point, v: float):
 def g_map(point, v: float):
     """(x, y) -> (x / sqrt(1 - v^2), y / (1 - v^2)); distance-to-time map."""
     _check_speed(v)
-    return _g_map(point, v)
+    return _g_map(_finite_xy(point, "point"), v)
 
 
 def g_inv(point, v: float):
     """Inverse of g_map."""
     _check_speed(v)
-    x, y = point
+    x, y = _finite_xy(point, "point")
     c = 1.0 - v * v
     return (x * math.sqrt(c), y * c)
 
@@ -62,7 +75,8 @@ def intercept_time(vehicle, target_initial, v: float) -> float:
     exactly; the aim point sits at distance exactly T from the vehicle.
     """
     _check_speed(v)
-    return _intercept_time(vehicle, target_initial, v)
+    return _intercept_time(_finite_xy(vehicle, "vehicle"),
+                           _finite_xy(target_initial, "target_initial"), v)
 
 
 def _intercept_time(vehicle, target_initial, v: float) -> float:
@@ -82,14 +96,12 @@ def _dist_matrix(all_pts: np.ndarray) -> np.ndarray:
     return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
 
 
-def _path_length(D: np.ndarray, n: int, order) -> float:
-    """Fold s -> order -> f left to right; indices are point indices 0..n-1."""
-    total = D[0, order[0] + 1] if order else D[0, n + 1]
-    for k in range(1, len(order)):
-        total += D[order[k - 1] + 1, order[k] + 1]
-    if order:
-        total += D[order[-1] + 1, n + 1]
-    return float(total)
+def _path_points(s, points, f, caller: str) -> np.ndarray:
+    """s, points and f as the rows of one float array; non-finite raises."""
+    P = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
+    if not np.isfinite(P).all():
+        raise ParameterDomainError(f"{caller} needs finite coordinates")
+    return P
 
 
 def emhp_exact(s, points, f):
@@ -106,8 +118,7 @@ def emhp_exact(s, points, f):
             f"exact solver capped at {EXACT_SOLVER_CAP} points, got {n}; "
             "use emhp_heuristic"
         )
-    all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
-    D = _dist_matrix(all_pts)
+    D = _dist_matrix(_path_points(s, points, f, "emhp_exact"))
     if n == 0:
         return [], float(D[0, 1])
     d = [[float(D[i + 1, j + 1]) for j in range(n)] for i in range(n)]
@@ -177,8 +188,10 @@ def _nn_order(X: np.ndarray, Y: np.ndarray, first: int) -> list[int]:
     """Nearest-neighbor order over the points (X[k], Y[k]), seeded with first.
 
     A visited point moves to infinity, so its distance is inf, as in a
-    masked matrix row.  One full scan per step, O(n^2) in all; only the
-    n <= 64 search starts from it (_nn_path is the large-n start).
+    masked matrix row.  One full scan per step, O(n^2) in all.  The search
+    up to 64 points starts from it at each of the _STARTS points nearest s;
+    the first of these orders is the path _nn_path walks from s, the
+    large-n start.
     """
     X, Y = X.copy(), Y.copy()
     order = [first]
@@ -219,59 +232,6 @@ def _nn_path(X: np.ndarray, Y: np.ndarray, nbr: list, first: int, last: int) -> 
         cur = c
     seq.append(last)
     return seq
-
-
-def _descent_small(D: np.ndarray, n: int, order: list[int], budget: int) -> int:
-    """2-opt plus segment relocation (or-opt), first improvement, in place."""
-    seq = [0] + [i + 1 for i in order] + [n + 1]
-    m = len(seq)
-    improved = True
-    while improved and budget > 0:
-        improved = False
-        # 2-opt: reverse seq[i..j], endpoints fixed
-        for i in range(1, m - 1):
-            for j in range(i + 1, m - 1):
-                delta = (D[seq[i - 1], seq[j]] + D[seq[i], seq[j + 1]]
-                         - D[seq[i - 1], seq[i]] - D[seq[j], seq[j + 1]])
-                if delta < -_IMPROVE_EPS:
-                    seq[i:j + 1] = seq[i:j + 1][::-1]
-                    budget -= 1
-                    improved = True
-                    if budget <= 0:
-                        break
-            if budget <= 0:
-                break
-        if improved:
-            continue
-        # or-opt: move a 1-3 segment elsewhere, either orientation
-        for ell in (1, 2, 3):
-            if ell > m - 2:
-                break
-            for a in range(1, m - 1 - ell + 1):
-                prev, nxt = seq[a - 1], seq[a + ell]
-                seg = seq[a:a + ell]
-                gain_rm = (D[prev, seg[0]] + D[seg[-1], nxt] - D[prev, nxt])
-                rest = seq[:a] + seq[a + ell:]
-                for p in range(len(rest) - 1):
-                    u, w = rest[p], rest[p + 1]
-                    base = D[u, w]
-                    for head, tail, rev in ((seg[0], seg[-1], False),
-                                            (seg[-1], seg[0], True)):
-                        delta = (D[u, head] + D[tail, w] - base) - gain_rm
-                        if delta < -_IMPROVE_EPS:
-                            mid = seg[::-1] if rev else seg
-                            seq = rest[:p + 1] + mid + rest[p + 1:]
-                            budget -= 1
-                            improved = True
-                            break
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved or budget <= 0:
-                break
-    order[:] = [k - 1 for k in seq[1:-1]]
-    return budget
 
 
 def _neighbours(X: np.ndarray, Y: np.ndarray, k: int):
@@ -399,10 +359,11 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
 
     X, Y hold the coordinates by node id and seq the path as node ids; its
     first and last nodes stay fixed.  near_idx, near_d are _neighbours'
-    lists over X, Y and nbr is near_idx as Python lists.  A move is tried
-    only when one of its new edges joins a node a to one of a's _NEIGHBOURS
-    nearest nodes c, and only while |ac| is shorter than what a's side of
-    the move removes:
+    lists over X, Y and nbr is near_idx as Python lists: the 10 nearest
+    nodes in a large search, every other node in a small one.  A move is
+    tried only when one of its new edges joins a node a to a node c on a's
+    list, and only while |ac| is shorter than what a's side of the move
+    removes:
     - 2-opt: a's edge to its successor b (or predecessor) and c's edge on
       the same side, c-e, give way to a-c and b-e;
     - Or-opt: a segment of 1-3 nodes with a at one end moves next to c,
@@ -415,7 +376,7 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
     whenever it empties is refilled with, the nodes that _improvable finds.
     On return no candidate move shortens the path by more than
     _IMPROVE_EPS, unless the accepted-move budget ran out.  Memory is
-    O(m * _NEIGHBOURS).  Returns the unspent budget.
+    O(m * k) for lists of k nodes.  Returns the unspent budget.
     """
     m = len(seq)
     nbd = near_d.tolist()
@@ -566,41 +527,36 @@ def _fold_length(P: np.ndarray) -> float:
 def emhp_heuristic(s, points, f):
     """Good s -> points -> f path: nearest-neighbor starts plus local search.
 
-    Small instances try several construction seeds, each an O(n^2)
-    nearest-neighbor order, and polish with 2-opt and segment relocation
-    over all pairs.  Large ones (over 64 points) build the 10 nearest
-    neighbours of every node once, walk them for the nearest-neighbor path
-    from s (O(10 n) plus an O(n) scan per step whose list is all visited),
-    then try 2-opt and Or-opt moves whose new edge joins a node to one of
-    its 10 nearest neighbours, examined from a queue of nodes with changed
-    edges (_local_search); memory is O(10 n).  The accepted-move budget is
-    50*n^2.  Never better than emhp_exact, usually equal for small n.
+    One search, _local_search, runs at every size: 2-opt and Or-opt moves
+    whose new edge joins a node to one of its listed nearest neighbours,
+    examined from a queue of nodes with changed edges.  Up to 64 points the
+    lists are complete and the search runs from each of _STARTS
+    nearest-neighbor orders (_nn_order), seeded at the points nearest s;
+    the strictly shortest path wins.  Above 64 points the lists hold the 10
+    nearest neighbours and the one start walks them from s (O(10 n) plus an
+    O(n) scan per step whose list is all visited); memory is O(10 n).  The
+    accepted-move budget is 50*n^2, shared by the starts.  Never better
+    than emhp_exact, usually equal for small n.
     """
     n = len(points)
-    all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
-    if not np.isfinite(all_pts).all():
-        raise ParameterDomainError("emhp_heuristic needs finite coordinates")
-    if n <= _SMALL_HEURISTIC_CAP:
-        X, Y = all_pts[1:n + 1, 0], all_pts[1:n + 1, 1]
-        D = _dist_matrix(all_pts)
-        if n == 0:
-            return [], float(D[0, 1])
-        if n == 1:
-            return [0], _path_length(D, n, [0])
-        budget = 50 * n * n
-        seeds = list(np.argsort(D[0, 1:n + 1], kind="stable")[:min(4, n)])
-        best_order, best_len = None, math.inf
-        for c in seeds:
-            order = _nn_order(X, Y, int(c))
-            budget = _descent_small(D, n, order, budget)
-            length = _path_length(D, n, order)
-            if length < best_len:
-                best_order, best_len = order, length
+    P = _path_points(s, points, f, "emhp_heuristic")
+    X, Y = P[:, 0], P[:, 1]
+    budget = 50 * n * n
+    if n > _SMALL_HEURISTIC_CAP:
+        seq = _nn_local_search(X, Y, 0, n + 1, budget)
+    else:
+        near_idx, near_d = _neighbours(X, Y, n + 1)
+        nbr = near_idx.tolist()
+        seq, best = [0, 1], math.inf                # n == 0: s -> f
+        for c in np.argsort(_dists(X[0], Y[0], X[1:-1], Y[1:-1]), kind="stable")[:_STARTS]:
+            cand = [0] + [k + 1 for k in _nn_order(X[1:-1], Y[1:-1], int(c))] + [n + 1]
+            budget = _local_search(X, Y, cand, budget, near_idx, near_d, nbr)
+            length = _fold_length(P[cand])
+            if length < best:
+                seq, best = cand, length
             if budget <= 0:
                 break
-        return best_order, best_len
-    seq = _nn_local_search(all_pts[:, 0], all_pts[:, 1], 0, n + 1, 50 * n * n)
-    return [k - 1 for k in seq[1:-1]], _fold_length(all_pts[seq])
+    return [k - 1 for k in seq[1:-1]], _fold_length(P[seq])
 
 
 def tour_two_opt(points, seed_point: int = 0):
@@ -650,14 +606,7 @@ class TmhpInstance:
         _check_speed(self.v)
         for name, pts in (("s", [self.s]), ("points", self.points), ("f", [self.f])):
             for p in pts:
-                try:
-                    x, y = p
-                    ok = math.isfinite(x) and math.isfinite(y)
-                except (TypeError, ValueError):
-                    ok = False
-                if not ok:
-                    raise ParameterDomainError(
-                        f"{name}: expected finite (x, y) coordinates, got {p!r}")
+                _finite_xy(p, name)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,21 @@ def test_speed_domain_errors():
             intercept_time((0.0, 1.0), (0.0, 0.0), v)
 
 
+@pytest.mark.parametrize("bad", [
+    (math.nan, 1.0), (0.0, math.inf), (-math.inf, 2.0), (1.0,), (1.0, 2.0, 3.0),
+    "ab", ("x", 1.0), None, 5.0,
+])
+def test_point_maps_reject_bad_coordinates(bad):
+    with pytest.raises(ParameterDomainError, match="^point: "):
+        g_map(bad, 0.5)
+    with pytest.raises(ParameterDomainError, match="^point: "):
+        g_inv(bad, 0.5)
+    with pytest.raises(ParameterDomainError, match="^vehicle: "):
+        intercept_time(bad, (0.0, 0.0), 0.5)
+    with pytest.raises(ParameterDomainError, match="^target_initial: "):
+        intercept_time((0.0, 0.0), bad, 0.5)
+
+
 def test_intercept_time_euclidean_limit():
     T = intercept_time((0.0, 0.0), (3.0, -4.0), v=1e-12)
     assert abs(T - 5.0) < 1e-9
@@ -204,9 +219,10 @@ def _cloud(n, seed, grid):
 _GRIDS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
 
 
-def _check_path(s, pts, f):
+def _check_path(s, pts, f, k=10):
     # a permutation, its left-to-right length, no longer than the
-    # nearest-neighbor start, and no improving candidate move left
+    # nearest-neighbor start, and no improving move left among candidates
+    # joining a node to one of its k nearest
     order, length = emhp_heuristic(s, pts, f)
     n = len(pts)
     assert sorted(order) == list(range(n))
@@ -214,7 +230,7 @@ def _check_path(s, pts, f):
     seq = [0] + [i + 1 for i in order] + [n + 1]
     assert length == fold_length(coords, seq)
     assert length <= fold_length(coords, emhp_nn_start(s, pts, f))
-    assert improving_candidate_moves(coords, seq) == []
+    assert improving_candidate_moves(coords, seq, k=k) == []
 
 
 def _check_tour(pts, anchor):
@@ -234,6 +250,15 @@ def test_emhp_heuristic_large_local_optimum(n, seed, grid):
     pts = _cloud(n, seed, grid)
     s, f = pts.pop(), pts.pop()
     _check_path(s, pts, f)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
+def test_emhp_heuristic_small_local_optimum(n, seed, grid):
+    # up to 64 points the candidate lists are complete
+    pts = _cloud(n, seed, grid)
+    s, f = pts.pop(), pts.pop()
+    _check_path(s, pts, f, k=n + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,7 +309,7 @@ def test_heuristic_length_within_one_percent_of_dense_reference():
     # fixed seeds: in total over the grid, the neighbour-list search is at
     # most 1% longer than the full-row 2-opt it replaced, open and closed
     path = ref_path = tour = ref_tour = 0.0
-    for n in (100, 300, 700, 1500):
+    for n in (20, 40, 64, 100, 300, 700, 1500):
         for seed in range(3):
             for grid in (0.0, 0.5):
                 pts = _cloud(n, seed, grid)
@@ -415,6 +440,8 @@ def test_heuristics_reject_non_finite_points():
         for n in (5, 80):                           # small and large search
             with pytest.raises(ParameterDomainError):
                 emhp_heuristic((0.0, 0.0), pts[:n] + [bad], (1.0, 1.0))
+        with pytest.raises(ParameterDomainError):
+            emhp_exact((0.0, 0.0), pts[:5] + [bad], (1.0, 1.0))
         with pytest.raises(ParameterDomainError):
             tour_two_opt(pts + [bad])
 
