@@ -14,8 +14,8 @@ from .core import (Demand, DemandStream, EnvParams, VehicleState, demand_positio
                    write_stream_jsonl)
 from .deadline_policies import (RunResult, TraceEvent, run_gp, run_lp, run_nclp,
                                 write_trace_jsonl)
-from .errors import (ContractViolationError, GraphCycleError,
-                     ParameterDomainError, RegimeError, SizeLimitError)
+from .errors import (ContractViolationError, ParameterDomainError, RegimeError,
+                     SizeLimitError)
 from .harness import (CSV_COLUMNS, ESTIMATOR_NOTE, ExperimentSpec, Summary,
                       monte_carlo, sweep, sweep_csv, sweep_svg,
                       write_sweep_csv, write_sweep_svg)
@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BETA_TSP", "EXACT_SOLVER_CAP",
-    "ContractViolationError", "GraphCycleError", "ParameterDomainError",
-    "RegimeError", "SizeLimitError",
+    "ContractViolationError", "ParameterDomainError", "RegimeError",
+    "SizeLimitError",
     "Demand", "DemandStream", "EnvParams", "VehicleState",
     "demand_position", "generate_stream", "make_env", "read_stream_jsonl",
     "region_count", "write_stream_jsonl",

@@ -30,7 +30,8 @@ def erf(x: float) -> float:
 
 def _require_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if not math.isfinite(value) or value <= 0:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value) or value <= 0:
             raise ParameterDomainError(f"{name} must be positive and finite, got {value!r}")
 
 

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 from .core import Demand, DemandStream, VehicleState
 from .errors import ContractViolationError, ParameterDomainError, RegimeError
-from .reachability import build_reach_graph, longest_chain_fast, longest_path
-
-# above this many demands the O(n^2) graph is replaced by the O(n log n)
-# chain solver (identical path lengths; see reachability)
-_AUTO_GRAPH_LIMIT = 600
+from .reachability import longest_chain_fast
 
 
 @dataclass
@@ -234,20 +230,13 @@ def _run(sim: _EventKernel, planner) -> RunResult:
 
 
 def run_nclp(stream: DemandStream, start_x: float | None = None,
-             method: str = "auto", trace: bool = False) -> RunResult:
-    """Non-causal longest path: one plan over the entire stream at t=0."""
+             trace: bool = False) -> RunResult:
+    """Non-causal longest path: one plan over the entire stream at t=0,
+    by the O(n log n) chain (longest_chain_fast)."""
     env = stream.env
     sim = _EventKernel(stream, start_x, trace)
     x0 = sim.start[0]
-    vehicle = VehicleState(x0, env.L, 0.0)
-    if method == "auto":
-        method = "graph" if len(sim.demands) <= _AUTO_GRAPH_LIMIT else "chain"
-    if method == "graph":
-        plan = longest_path(build_reach_graph(vehicle, sim.demands, env.v, env.L))
-    elif method == "chain":
-        plan = longest_chain_fast(vehicle, sim.demands, env.v, env.L)
-    else:
-        raise ParameterDomainError(f"unknown method {method!r}")
+    plan = longest_chain_fast(VehicleState(x0, env.L, 0.0), sim.demands, env.v, env.L)
     sim.recompute(0.0, x0)
     sim.advance(0.0, True)
     by_id = {d.id: d for d in sim.demands}

@@ -15,7 +15,3 @@ class ContractViolationError(ValueError):
 
 class SizeLimitError(ValueError):
     """Instance exceeds the hard cap of an exact solver."""
-
-
-class GraphCycleError(ValueError):
-    """The given graph is not acyclic (or its topological order is invalid)."""

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Demand, VehicleState
-from .errors import (ContractViolationError, GraphCycleError, ParameterDomainError,
-                     RegimeError)
+from .errors import ContractViolationError, ParameterDomainError, RegimeError
 
 
 def is_reachable(vehicle, demand_pos, v: float) -> bool:
@@ -49,21 +48,19 @@ def deadline_edge(demand_i: Demand, demand_j: Demand) -> bool:
 
 @dataclass
 class ReachGraph:
-    """Reachability DAG over a demand set, rooted at a vehicle vertex."""
+    """Reachability DAG over a demand set, rooted at a vehicle vertex; made
+    by build_reach_graph."""
 
     source: VehicleState
     vertices: list[int]                 # demand ids
     source_edges: list[int]             # ids directly reachable from the source
     edges: dict[int, list[int]]         # id -> sorted successor ids
     topo_order: list[int]               # ids by (t_arr, id); valid topological order
-    deadlines: dict[int, float]         # id -> t_arr + L/v
-    abscissae: dict[int, float]         # id -> x
-    # flat arrays in topo order, kept so the DP can run vectorized
-    _ts: np.ndarray = field(repr=False, default=None)
-    _xs: np.ndarray = field(repr=False, default=None)
-    _ids: np.ndarray = field(repr=False, default=None)
-    _dls: np.ndarray = field(repr=False, default=None)
-    _validated: bool = field(repr=False, default=False)
+    # flat arrays in topo order, read by the vectorized DP
+    _ts: np.ndarray = field(repr=False)
+    _xs: np.ndarray = field(repr=False)
+    _ids: np.ndarray = field(repr=False)
+    _dls: np.ndarray = field(repr=False)    # deadlines t_arr + L/v
 
 
 @dataclass
@@ -120,93 +117,44 @@ def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> Rea
         source_edges=[int(i) for i in ids[src_mask]],
         edges=edges,
         topo_order=[int(i) for i in ids],
-        deadlines={int(i): float(dl) for i, dl in zip(ids, dls)},
-        abscissae={int(i): float(x) for i, x in zip(ids, xs)},
         _ts=ts, _xs=xs, _ids=ids, _dls=dls,
-        _validated=True,
     )
-
-
-def _validate_topology(graph: ReachGraph) -> None:
-    pos = {i: k for k, i in enumerate(graph.topo_order)}
-    if len(pos) != len(graph.vertices) or set(pos) != set(graph.vertices):
-        raise GraphCycleError("topo_order is not a permutation of the vertices")
-    for i, succs in graph.edges.items():
-        for j in succs:
-            if pos[j] <= pos[i]:
-                raise GraphCycleError(
-                    f"edge ({i}, {j}) goes against the topological order; "
-                    "the graph has a cycle (is v < 1?)"
-                )
 
 
 def longest_path(graph: ReachGraph) -> PathPlan:
     """Maximum-cardinality source-rooted path by DP over the topo order.
 
+    A vectorized prefix relaxation whose mask reproduces deadline_edge.
     Ties at each step go to the smallest predecessor id, and among final
     endpoints to the smallest id, so the plan is deterministic.
     """
-    if not graph._validated:
-        _validate_topology(graph)
-    n = len(graph.topo_order)
-    if n == 0:
+    ids, ts, xs = graph._ids, graph._ts, graph._xs
+    n = len(ids)
+    # path length ending at k, -1 unreachable; topo index of its predecessor
+    best = np.where(np.isin(ids, graph.source_edges), 1, -1)
+    pred = np.full(n, -1, dtype=np.intp)
+    for k in range(1, n):
+        mask = (np.abs(xs[:k] - xs[k]) <= ts[k] - ts[:k]) & (best[:k] >= 1)
+        if not mask.any():
+            continue
+        cand = best[:k][mask]
+        top = cand.max()
+        if top + 1 > best[k]:
+            winners = np.flatnonzero(mask)[cand == top]
+            pred[k] = winners[np.argmin(ids[winners])]
+            best[k] = top + 1
+
+    if n == 0 or best.max() < 1:
         return PathPlan(order=[], capture_times=[], length=0)
-
-    if graph._ids is not None:
-        ids, ts, xs = graph._ids, graph._ts, graph._xs
-    else:
-        ids = np.array(graph.topo_order, dtype=np.intp)
-        ts = np.array([graph.deadlines[i] for i in graph.topo_order])
-        # deadlines share the L/v offset, so they order and difference
-        # exactly like arrival times for edge purposes
-        xs = np.array([graph.abscissae[i] for i in graph.topo_order])
-
-    src = set(graph.source_edges)
-    best = np.full(n, -1, dtype=np.intp)     # path length ending at k, -1 unreachable
-    best[[k for k in range(n) if int(ids[k]) in src]] = 1
-    pred = np.full(n, -1, dtype=np.intp)     # topo index of predecessor
-
-    if graph._validated and graph._ids is not None:
-        # vectorized prefix relaxation; the mask reproduces deadline_edge
-        for k in range(1, n):
-            mask = (np.abs(xs[:k] - xs[k]) <= ts[k] - ts[:k]) & (best[:k] >= 1)
-            if not mask.any():
-                continue
-            cand = best[:k][mask]
-            top = cand.max()
-            if top + 1 > best[k]:
-                winners = np.flatnonzero(mask)[cand == top]
-                pred[k] = winners[np.argmin(ids[winners])]
-                best[k] = top + 1
-    else:
-        posn = {i: k for k, i in enumerate(graph.topo_order)}
-        for k in range(n):
-            if best[k] < 1:
-                continue
-            i = int(ids[k])
-            for j in graph.edges.get(i, []):
-                kj = posn[j]
-                cand = best[k] + 1
-                if cand > best[kj] or (
-                    cand == best[kj] and pred[kj] >= 0 and ids[k] < ids[pred[kj]]
-                ):
-                    best[kj] = cand
-                    pred[kj] = k
-
-    if best.max() < 1:
-        return PathPlan(order=[], capture_times=[], length=0)
-    top = best.max()
-    ends = np.flatnonzero(best == top)
-    end = int(ends[np.argmin(ids[ends])])
+    ends = np.flatnonzero(best == best.max())
+    k = int(ends[np.argmin(ids[ends])])
     rev = []
-    k = end
     while k >= 0:
         rev.append(k)
         k = int(pred[k])
     rev.reverse()
-    order = [int(ids[k]) for k in rev]
-    times = [graph.deadlines[i] for i in order]
-    return PathPlan(order=order, capture_times=times, length=len(order))
+    return PathPlan(order=[int(ids[k]) for k in rev],
+                    capture_times=[float(graph._dls[k]) for k in rev], length=len(rev))
 
 
 def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> PathPlan:

@@ -97,11 +97,9 @@ def _dist_matrix(all_pts: np.ndarray) -> np.ndarray:
 
 
 def _path_points(s, points, f, caller: str) -> np.ndarray:
-    """s, points and f as the rows of one float array; non-finite raises."""
-    P = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
-    if not np.isfinite(P).all():
-        raise ParameterDomainError(f"{caller} needs finite coordinates")
-    return P
+    """s, points and f as the rows of one float array; anything but finite
+    (x, y) pairs raises."""
+    return np.array([_finite_xy(p, caller) for p in [s, *points, f]], dtype=float)
 
 
 def emhp_exact(s, points, f):
@@ -604,7 +602,12 @@ class TmhpInstance:
 
     def __post_init__(self):
         _check_speed(self.v)
-        for name, pts in (("s", [self.s]), ("points", self.points), ("f", [self.f])):
+        try:
+            points = iter(self.points)
+        except TypeError:
+            raise ParameterDomainError(
+                f"points: expected a sequence of (x, y) pairs, got {self.points!r}") from None
+        for name, pts in (("s", [self.s]), ("points", points), ("f", [self.f])):
             for p in pts:
                 _finite_xy(p, name)
 

@@ -80,6 +80,16 @@ def test_lp_lower_bound_rejects_bad_parameters():
             lp_lower_bound(lam, W)
 
 
+def test_bounds_reject_non_numbers():
+    for bad in ("a", None, True, (1.0,)):
+        with pytest.raises(ParameterDomainError):
+            applicable_bounds(bad, 1.0, 1.0, 1.0)
+        with pytest.raises(ParameterDomainError):
+            lp_lower_bound(1.0, bad)
+        with pytest.raises(ParameterDomainError):
+            tf_lower_bound(0.5, 1.0, 1.0, beta_tsp=bad)
+
+
 def test_lp_competitive_factor():
     assert lp_competitive_factor(2.0, 120.0, 500.0) == pytest.approx(0.52, abs=1e-12)
     assert lp_competitive_factor(1.0, 10.0, 10.0) == 0.0          # L = vW boundary

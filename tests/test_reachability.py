@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from guardsim import (
     ContractViolationError,
     Demand,
-    GraphCycleError,
     ParameterDomainError,
-    ReachGraph,
     RegimeError,
     VehicleState,
     build_reach_graph,
@@ -131,20 +129,6 @@ def test_longest_path_mutually_unreachable_pair():
     plan = longest_path(g)
     assert plan.length == 1
     assert plan.order == [0]          # id tie-break is deterministic
-
-
-def test_longest_path_rejects_cycles():
-    bad = ReachGraph(
-        source=VehicleState(0.0, 10.0, 0.0),
-        vertices=[0, 1],
-        source_edges=[0, 1],
-        edges={0: [1], 1: [0]},
-        topo_order=[0, 1],
-        deadlines={0: 5.0, 1: 6.0},
-        abscissae={0: 1.0, 1: 2.0},
-    )
-    with pytest.raises(GraphCycleError):
-        longest_path(bad)
 
 
 def test_longest_path_matches_enumeration():

@@ -74,10 +74,13 @@ def test_speed_domain_errors():
             intercept_time((0.0, 1.0), (0.0, 0.0), v)
 
 
-@pytest.mark.parametrize("bad", [
+BAD_POINTS = [
     (math.nan, 1.0), (0.0, math.inf), (-math.inf, 2.0), (1.0,), (1.0, 2.0, 3.0),
     "ab", ("x", 1.0), None, 5.0,
-])
+]
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
 def test_point_maps_reject_bad_coordinates(bad):
     with pytest.raises(ParameterDomainError, match="^point: "):
         g_map(bad, 0.5)
@@ -87,6 +90,23 @@ def test_point_maps_reject_bad_coordinates(bad):
         intercept_time(bad, (0.0, 0.0), 0.5)
     with pytest.raises(ParameterDomainError, match="^target_initial: "):
         intercept_time((0.0, 0.0), bad, 0.5)
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+def test_path_solvers_reject_bad_coordinates(bad):
+    pts = [(float(i), float(i % 7)) for i in range(80)]
+    for solver, n in ((emhp_exact, 5), (emhp_heuristic, 5), (emhp_heuristic, 80)):
+        match = f"^{solver.__name__}: "
+        for args in ((bad, pts[:n], (1.0, 1.0)), ((0.0, 0.0), pts[:n] + [bad], (1.0, 1.0)),
+                     ((0.0, 0.0), pts[:n], bad)):
+            with pytest.raises(ParameterDomainError, match=match):
+                solver(*args)
+    # s, points and f all of one wrong arity
+    for solver in (emhp_exact, emhp_heuristic):
+        with pytest.raises(ParameterDomainError):
+            solver((0.0, 0.0, 9.0), [(3.0, 4.0, 1.0)], (3.0, 4.0, 7.0))
+        with pytest.raises(ParameterDomainError):
+            solver((0.0,), [(1.0,)], (3.0,))
 
 
 def test_intercept_time_euclidean_limit():
@@ -425,7 +445,7 @@ def test_tmhp_solve_empty_points():
 @pytest.mark.parametrize("field, value", [
     ("s", (math.nan, 1.0)), ("s", (0.0, math.inf)), ("f", (-math.inf, 0.0)),
     ("points", ((1.0, 2.0), (math.nan, 3.0))), ("points", ((1.0, 2.0, 3.0),)),
-    ("f", ("x", 1.0)), ("points", (5.0,)),
+    ("f", ("x", 1.0)), ("points", (5.0,)), ("points", 5),
 ])
 def test_tmhp_instance_rejects_bad_coordinates(field, value):
     raw = dict(s=(1.0, 5.0), points=((2.0, 2.0),), f=(4.0, 1.0), v=0.3)
