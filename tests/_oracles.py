@@ -312,6 +312,18 @@ def emhp_nn_start(s, points, f) -> list[int]:
     return _dense_nn_path(_dense_dist_matrix(all_pts), n)
 
 
+def emhp_nn_starts(s, points, f, starts: int) -> list[list[int]]:
+    """The nearest-neighbor s -> points -> f paths that emhp_heuristic
+    searches from when it tries several starts, as node ids: one from each
+    of the `starts` points nearest s, in stable (distance, index) order."""
+    n = len(points)
+    all_pts = np.array([tuple(s)] + [tuple(p) for p in points] + [tuple(f)], dtype=float)
+    D = _dense_dist_matrix(all_pts)
+    firsts = np.argsort(D[0, 1:n + 1], kind="stable")[:starts]
+    return [[0] + [i + 1 for i in _dense_nn_order(D[1:n + 1, 1:n + 1], int(c))] + [n + 1]
+            for c in firsts]
+
+
 def tour_nn_start(points, seed_point: int) -> list[int]:
     """The nearest-neighbor closed tour that tour_two_opt starts from, as
     point indices ending with seed_point again."""

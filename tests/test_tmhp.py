@@ -30,7 +30,7 @@ from guardsim import tmhp
 from guardsim.tmhp import _improvable, _local_search, _neighbours
 
 from ._oracles import (check_trace, emhp_brute, emhp_brute_lengths, emhp_heuristic_dense,
-                       emhp_nn_start, fold_length, improving_candidate_moves,
+                       emhp_nn_start, emhp_nn_starts, fold_length, improving_candidate_moves,
                        knn_brute, tour_nn_start, tour_two_opt_dense)
 
 
@@ -342,9 +342,9 @@ def test_heuristic_length_within_one_percent_of_dense_reference():
     assert tour <= 1.01 * ref_tour
 
 
-def _large_start(call):
-    """The start that call's large-n path hands to _local_search, as node
-    ids; the search itself is skipped."""
+def _starts(call):
+    """The starts that call hands to _local_search, as node ids, in order;
+    the search itself is skipped."""
     starts = []
 
     def record(X, Y, seq, budget, *lists):
@@ -353,7 +353,12 @@ def _large_start(call):
 
     with mock.patch.object(tmhp, "_local_search", record):
         call()
-    (start,) = starts
+    return starts
+
+
+def _large_start(call):
+    """The one start that call's large-n path hands to _local_search."""
+    (start,) = _starts(call)
     return start
 
 
@@ -375,6 +380,16 @@ def test_emhp_large_start_equals_nn_oracle(n, seed, grid):
     pts = _cloud(n, seed, grid)
     s, f = pts.pop(), pts.pop()
     assert _large_start(lambda: emhp_heuristic(s, pts, f)) == emhp_nn_start(s, pts, f)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
+def test_emhp_small_starts_equal_nn_oracle(n, seed, grid):
+    # up to 64 points: one nearest-neighbor path from each of the 8 points
+    # nearest s, in (distance, index) order
+    pts = _cloud(n, seed, grid)
+    s, f = pts.pop(), pts.pop()
+    assert _starts(lambda: emhp_heuristic(s, pts, f)) == emhp_nn_starts(s, pts, f, 8)
 
 
 @settings(max_examples=25, deadline=None)
