@@ -12,6 +12,7 @@ can exceed both: a short burst of arrivals is often captured in full.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import ParameterDomainError, RegimeError
 
@@ -23,7 +24,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 def erf(x: float) -> float:
     """Error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt (math.erf)."""
-    if not math.isfinite(x):
+    if not abs(x) <= sys.float_info.max:      # also an int too large for a float
         raise ParameterDomainError(f"erf requires finite x, got {x!r}")
     return math.erf(x)
 
@@ -31,7 +32,7 @@ def erf(x: float) -> float:
 def _require_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value) or value <= 0:
+                or not 0 < value <= sys.float_info.max:
             raise ParameterDomainError(f"{name} must be positive and finite, got {value!r}")
 
 

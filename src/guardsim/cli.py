@@ -14,11 +14,11 @@ from . import bounds as bounds_mod
 from .core import VehicleState, generate_stream, make_env, read_stream_jsonl, \
     write_stream_jsonl
 from .errors import ContractViolationError
-from .deadline_policies import run_gp, run_lp, run_nclp, write_trace_jsonl
-from .harness import ExperimentSpec, monte_carlo, sweep, write_sweep_csv, \
+from .deadline_policies import write_trace_jsonl
+from .harness import ExperimentSpec, _run_policy, monte_carlo, sweep, write_sweep_csv, \
     write_sweep_svg
 from .reachability import build_reach_graph, graph_to_dict
-from .tmhp import TmhpInstance, run_tf, tmhp_solve
+from .tmhp import TmhpInstance, tmhp_solve
 
 
 def _add_env_args(p: argparse.ArgumentParser) -> None:
@@ -63,12 +63,7 @@ def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     if args.trace:
         stream = generate_stream(spec.env, spec.n_demands, spec.base_seed)
-        runner = {"nclp": run_nclp, "gp": run_gp, "tf": run_tf}.get(spec.policy)
-        if spec.policy == "lp":
-            res = run_lp(stream, eta=spec.eta, trace=True)
-        else:
-            res = runner(stream, trace=True)
-        write_trace_jsonl(res, args.trace)
+        write_trace_jsonl(_run_policy(spec, stream, trace=True), args.trace)
     out = monte_carlo(spec).to_dict()
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +42,7 @@ def make_env(W: float, L: float, v: float, lam: float) -> EnvParams:
     for name, value in (("W", W), ("L", L), ("v", v), ("lam", lam)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterDomainError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value) or value <= 0:
+        if not 0 < value <= sys.float_info.max:     # also an int too large for a float
             raise ParameterDomainError(
                 f"{name} must be positive and finite, got {value!r}"
             )
@@ -59,11 +60,6 @@ class Demand:
     def escape_time(self, env: EnvParams) -> float:
         """Instant the demand reaches the deadline: t_arr + L/v."""
         return self.t_arr + env.L / env.v
-
-
-def demand_position(demand: Demand, v: float, t: float) -> tuple[float, float]:
-    """Demand position (x, v*(t - t_arr)); negative ordinate before arrival."""
-    return (demand.x, v * (t - demand.t_arr))
 
 
 @dataclass(frozen=True)
@@ -141,26 +137,6 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
     xs = env.W * rng.random(n_demands)       # in [0, W)
     demands = list(map(Demand, range(n_demands), t_arr.tolist(), xs.tolist()))
     return DemandStream(env=env, seed=seed, demands=demands)
-
-
-def region_count(
-    stream: DemandStream, rect: Sequence[float], t: float
-) -> int:
-    """Count demands whose position at time t lies in the closed rectangle.
-
-    rect is (xmin, xmax, ymin, ymax) and should sit inside [0,W] x [0, v*t];
-    counting assumes nothing has been serviced before t.
-    """
-    xmin, xmax, ymin, ymax = rect
-    if xmin > xmax or ymin > ymax:
-        raise ParameterDomainError(f"rect {rect!r} has negative extent")
-    v = stream.env.v
-    count = 0
-    for d in stream.demands:
-        y = v * (t - d.t_arr)
-        if xmin <= d.x <= xmax and ymin <= y <= ymax:
-            count += 1
-    return count
 
 
 # --- stream serialization -------------------------------------------------

@@ -184,7 +184,7 @@ def _check_start(env, start, strip: bool) -> tuple:
         return (env.W / 2.0, env.L / 2.0) if strip else (env.W / 2.0,)
     try:
         p = tuple(float(c) for c in start) if strip else (float(start),)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         p = ()
     if len(p) != 1 + strip or not all(math.isfinite(c) for c in p) \
             or not 0.0 <= p[0] <= env.W or (strip and not 0.0 <= p[1] <= env.L):

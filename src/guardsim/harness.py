@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,8 @@ class ExperimentSpec:
             raise RegimeError(f"the {self.policy} policy needs v >= 1")
         if self.sweep is not None:
             if not (isinstance(self.sweep, (tuple, list)) and len(self.sweep) == 3
-                    and all(_is_number(b) and math.isfinite(b) for b in self.sweep)):
+                    and all(_is_number(b) and abs(b) <= sys.float_info.max
+                            for b in self.sweep)):
                 raise ParameterDomainError(
                     f"sweep must be three finite numbers (lam_min, lam_max, step), "
                     f"got {self.sweep!r}")
@@ -107,14 +109,15 @@ class Summary:
         return d
 
 
-def _run_policy(spec: ExperimentSpec, stream):
+def _run_policy(spec: ExperimentSpec, stream, trace: bool = False):
+    """One run of spec's policy on stream; the CLI's --trace run too."""
     if spec.policy == "nclp":
-        return run_nclp(stream)
+        return run_nclp(stream, trace=trace)
     if spec.policy == "lp":
-        return run_lp(stream, eta=spec.eta)
+        return run_lp(stream, eta=spec.eta, trace=trace)
     if spec.policy == "gp":
-        return run_gp(stream)
-    return run_tf(stream)
+        return run_gp(stream, trace=trace)
+    return run_tf(stream, trace=trace)
 
 
 def monte_carlo(spec: ExperimentSpec) -> Summary:

@@ -14,36 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Demand, VehicleState
+from .core import VehicleState
 from .errors import ContractViolationError, ParameterDomainError, RegimeError
-
-
-def is_reachable(vehicle, demand_pos, v: float) -> bool:
-    """Can a unit-speed vehicle at `vehicle` meet a demand at `demand_pos`
-    before it crosses the vehicle's ordinate?
-
-    Both arguments are (x, y) pairs with vehicle y >= demand y.  True iff
-    v*|X - x| <= Y - y; boundary equality counts as reachable.
-    """
-    X, Y = vehicle
-    x, y = demand_pos
-    return v * abs(X - x) <= Y - y
-
-
-def deadline_edge(demand_i: Demand, demand_j: Demand) -> bool:
-    """Can j be captured on the deadline after capturing i on the deadline?
-
-    True iff |x_i - x_j| <= t_j - t_i and i != j.  Exact duplicate (t, x)
-    pairs are oriented from the smaller id to keep the relation acyclic.
-    """
-    if demand_i.id == demand_j.id:
-        return False
-    dt = demand_j.t_arr - demand_i.t_arr
-    if abs(demand_j.x - demand_i.x) > dt:
-        return False
-    if dt == 0.0 and demand_i.x == demand_j.x:
-        return demand_i.id < demand_j.id
-    return True
 
 
 @dataclass
@@ -93,8 +65,10 @@ def _check_regime_and_state(vehicle: VehicleState, demands, v: float, L: float) 
 def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> ReachGraph:
     """Reachability DAG from a vehicle on the deadline over unescaped demands.
 
-    O(n^2); edge (i, j) iff deadline_edge(i, j), source edge to i iff the
-    vehicle can reach abscissa x_i by the demand's deadline.
+    O(n^2); edge (i, j) iff i != j and |x_i - x_j| <= t_j - t_i, an exact
+    duplicate (t, x) pair only from the smaller id to the larger; source
+    edge to i iff the vehicle can reach abscissa x_i by the demand's
+    deadline.
     """
     _check_regime_and_state(vehicle, demands, v, L)
     order = sorted(demands, key=lambda d: (d.t_arr, d.id))
@@ -124,7 +98,9 @@ def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> Rea
 def longest_path(graph: ReachGraph) -> PathPlan:
     """Maximum-cardinality source-rooted path by DP over the topo order.
 
-    A vectorized prefix relaxation whose mask reproduces deadline_edge.
+    A vectorized prefix relaxation whose mask is the edge relation: j
+    follows i iff |x_i - x_j| <= t_j - t_i, and an exact duplicate (t, x)
+    pair only in id order, which the topo order keeps.
     Ties at each step go to the smallest predecessor id, and among final
     endpoints to the smallest id, so the plan is deterministic.
     """

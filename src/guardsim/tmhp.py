@@ -30,8 +30,7 @@ _NEIGHBOUR_CHUNK = 1 << 13   # candidate pairs _neighbours examines at once
 
 
 def _check_speed(v: float) -> None:
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or \
-            not 0.0 < float(v) < 1.0:
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < 1:
         raise ParameterDomainError(f"translation speed must lie in (0, 1), got {v!r}")
 
 
@@ -40,7 +39,7 @@ def _finite_xy(point, name: str):
     try:
         x, y = point
         ok = math.isfinite(x) and math.isfinite(y)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise ParameterDomainError(f"{name}: expected finite (x, y) coordinates, got {point!r}")
@@ -182,42 +181,25 @@ def _nearest(px, py, X: np.ndarray, Y: np.ndarray) -> int:
     return int(np.argmin(_dists(px, py, X, Y)))
 
 
-def _nn_order(X: np.ndarray, Y: np.ndarray, first: int) -> list[int]:
-    """Nearest-neighbor order over the points (X[k], Y[k]), seeded with first.
-
-    A visited point moves to infinity, so its distance is inf, as in a
-    masked matrix row.  One full scan per step, O(n^2) in all.  The search
-    up to 64 points starts from it at each of the _STARTS points nearest s;
-    the first of these orders is the path _nn_path walks from s, the
-    large-n start.
-    """
-    X, Y = X.copy(), Y.copy()
-    order = [first]
-    cur = first
-    for _ in range(len(X) - 1):
-        px, py = X[cur], Y[cur]
-        X[cur] = Y[cur] = np.inf
-        cur = _nearest(px, py, X, Y)
-        order.append(cur)
-    return order
-
-
-def _nn_path(X: np.ndarray, Y: np.ndarray, nbr: list, first: int, last: int) -> list[int]:
-    """_nn_order's path from first through every node but last, then last.
+def _nn_path(X: np.ndarray, Y: np.ndarray, nbr: list, head: list[int], last: int) -> list[int]:
+    """Nearest-neighbor path: head, then from head[-1] on to the nearest
+    unvisited node each step, through every node but last, then last.
 
     nbr holds _neighbours' lists, exact and ordered by (distance, index)
     with _dists' arithmetic, so a step takes the first unvisited node of
-    the current node's list.  Only a step whose list is all visited scans
-    every node.  O(n * k) plus O(n) per such step.
+    the current node's list: with complete lists that is the nearest
+    unvisited node, first of equal distances.  Only a step whose list is
+    all visited scans every node.  O(n * k) plus O(n) per such step.
     """
     left = [True] * len(X)
-    left[first] = left[last] = False
+    for c in (*head, last):
+        left[c] = False
     Xv, Yv = X.copy(), Y.copy()
     Xv[last] = Yv[last] = np.inf
-    seq = [first]
+    seq = list(head)
     hidden = 0               # seq[:hidden] already sit at infinity in Xv, Yv
-    cur = first
-    for _ in range(len(X) - 2):
+    cur = seq[-1]
+    for _ in range(len(X) - len(seq) - 1):
         for c in nbr[cur]:
             if left[c]:
                 break
@@ -506,17 +488,6 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
     return budget
 
 
-def _nn_local_search(X: np.ndarray, Y: np.ndarray, first: int, last: int,
-                     budget: int) -> list[int]:
-    """The path _nn_path builds from first to last, then _local_search on
-    it; both read the same neighbour lists, built once."""
-    near_idx, near_d = _neighbours(X, Y, _NEIGHBOURS)
-    nbr = near_idx.tolist()
-    seq = _nn_path(X, Y, nbr, first, last)
-    _local_search(X, Y, seq, budget, near_idx, near_d, nbr)
-    return seq
-
-
 def _fold_length(P: np.ndarray) -> float:
     """Length of the path through the rows of P, legs added left to right."""
     return float(np.add.accumulate(_dists(P[:-1, 0], P[:-1, 1], P[1:, 0], P[1:, 1]))[-1])
@@ -525,62 +496,35 @@ def _fold_length(P: np.ndarray) -> float:
 def emhp_heuristic(s, points, f):
     """Good s -> points -> f path: nearest-neighbor starts plus local search.
 
-    One search, _local_search, runs at every size: 2-opt and Or-opt moves
-    whose new edge joins a node to one of its listed nearest neighbours,
-    examined from a queue of nodes with changed edges.  Up to 64 points the
-    lists are complete and the search runs from each of _STARTS
-    nearest-neighbor orders (_nn_order), seeded at the points nearest s;
-    the strictly shortest path wins.  Above 64 points the lists hold the 10
-    nearest neighbours and the one start walks them from s (O(10 n) plus an
-    O(n) scan per step whose list is all visited); memory is O(10 n).  The
-    accepted-move budget is 50*n^2, shared by the starts.  Never better
-    than emhp_exact, usually equal for small n.
+    One loop at every size: for each of the _STARTS points c nearest s, a
+    nearest-neighbor path s, c, ... (_nn_path), then _local_search, 2-opt
+    and Or-opt moves whose new edge joins a node to one of its listed
+    nearest neighbours; the strictly shortest path wins.  The size only
+    sets two constants: up to 64 points the lists are complete and there
+    are 8 starts; above 64 they hold the 10 nearest neighbours and there
+    is 1 start, O(10 n) plus an O(n) scan per step whose list is all
+    visited, in O(10 n) memory.  The accepted-move budget is 50*n^2,
+    shared by the starts.  Never better than emhp_exact, usually equal for
+    small n.
     """
     n = len(points)
     P = _path_points(s, points, f, "emhp_heuristic")
     X, Y = P[:, 0], P[:, 1]
+    small = n <= _SMALL_HEURISTIC_CAP
+    near_idx, near_d = _neighbours(X, Y, n + 1 if small else _NEIGHBOURS)
+    nbr = near_idx.tolist()
     budget = 50 * n * n
-    if n > _SMALL_HEURISTIC_CAP:
-        seq = _nn_local_search(X, Y, 0, n + 1, budget)
-    else:
-        near_idx, near_d = _neighbours(X, Y, n + 1)
-        nbr = near_idx.tolist()
-        seq, best = [0, 1], math.inf                # n == 0: s -> f
-        for c in np.argsort(_dists(X[0], Y[0], X[1:-1], Y[1:-1]), kind="stable")[:_STARTS]:
-            cand = [0] + [k + 1 for k in _nn_order(X[1:-1], Y[1:-1], int(c))] + [n + 1]
-            budget = _local_search(X, Y, cand, budget, near_idx, near_d, nbr)
-            length = _fold_length(P[cand])
-            if length < best:
-                seq, best = cand, length
-            if budget <= 0:
-                break
+    seq, best = [0, n + 1], None                # n == 0: s -> f
+    firsts = np.argsort(_dists(X[0], Y[0], X[1:-1], Y[1:-1]), kind="stable")
+    for c in firsts[:_STARTS if small else 1]:
+        cand = _nn_path(X, Y, nbr, [0, int(c) + 1], n + 1)
+        budget = _local_search(X, Y, cand, budget, near_idx, near_d, nbr)
+        length = _fold_length(P[cand])
+        if best is None or length < best:
+            seq, best = cand, length
+        if budget <= 0:
+            break
     return [k - 1 for k in seq[1:-1]], _fold_length(P[seq])
-
-
-def tour_two_opt(points, seed_point: int = 0):
-    """Closed tour over all points: nearest neighbor plus local search.
-
-    The tour starts at seed_point, an index into points (0 for an empty
-    list), and is the open path from it back to a copy of it, so it gets
-    emhp_heuristic's large-n start and search whatever n is; the start
-    costs O(10 n) plus an O(n) scan per step whose list is all visited.
-    Returns (order, length), the legs added left to right.  Used for spot
-    checks against the expected sqrt(n * A) scaling of optimal tours over
-    uniform points.
-    """
-    pts = np.array([tuple(p) for p in points], dtype=float)
-    n = len(pts)
-    if isinstance(seed_point, bool) or not isinstance(seed_point, (int, np.integer)) \
-            or not 0 <= seed_point < max(n, 1):
-        raise ParameterDomainError(
-            f"seed_point must be an int in [0, {n}), got {seed_point!r}")
-    if n < 2:
-        return list(range(n)), 0.0
-    if not np.isfinite(pts).all():
-        raise ParameterDomainError("tour_two_opt needs finite coordinates")
-    pts = np.vstack([pts, pts[seed_point]])        # node n: the anchor again
-    seq = _nn_local_search(pts[:, 0], pts[:, 1], int(seed_point), n, 50 * n * n)
-    return seq[:-1], _fold_length(pts[seq])
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +547,11 @@ class TmhpInstance:
     def __post_init__(self):
         _check_speed(self.v)
         try:
-            points = iter(self.points)
+            points = tuple(self.points)     # a generator is read once, here
         except TypeError:
             raise ParameterDomainError(
                 f"points: expected a sequence of (x, y) pairs, got {self.points!r}") from None
+        object.__setattr__(self, "points", points)
         for name, pts in (("s", [self.s]), ("points", points), ("f", [self.f])):
             for p in pts:
                 _finite_xy(p, name)

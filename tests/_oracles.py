@@ -3,7 +3,10 @@
 Each oracle recomputes a quantity by a different method than the package
 (brute force, exhaustive enumeration, exact rational arithmetic) so that
 agreement is evidence rather than tautology.  `lattice_stream` draws the
-small streams the property tests run them on.
+small streams the property tests run them on.  The definitions the package
+only needs as checks live here too: demand positions and region counts,
+the reachability predicate and the deadline edge relation, and `tour`,
+the closed tour built from emhp_heuristic.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from itertools import permutations
 import numpy as np
 from hypothesis import strategies as st
 
-from guardsim import Demand, DemandStream
+from guardsim import Demand, DemandStream, ParameterDomainError, emhp_heuristic
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +36,30 @@ def lattice_stream(data, env, max_size=8):
 
 
 # ---------------------------------------------------------------------------
-# kinematics
+# kinematics and spatial statistics
+
+
+def demand_position(demand: Demand, v: float, t: float) -> tuple[float, float]:
+    """Demand position (x, v*(t - t_arr)); negative ordinate before arrival."""
+    return (demand.x, v * (t - demand.t_arr))
+
+
+def region_count(stream: DemandStream, rect, t: float) -> int:
+    """Count demands whose position at time t lies in the closed rectangle.
+
+    rect is (xmin, xmax, ymin, ymax) and should sit inside [0,W] x [0, v*t];
+    counting assumes nothing has been serviced before t.
+    """
+    xmin, xmax, ymin, ymax = rect
+    if xmin > xmax or ymin > ymax:
+        raise ParameterDomainError(f"rect {rect!r} has negative extent")
+    v = stream.env.v
+    count = 0
+    for d in stream.demands:
+        y = v * (t - d.t_arr)
+        if xmin <= d.x <= xmax and ymin <= y <= ymax:
+            count += 1
+    return count
 
 
 def meet_time_bisect(px: float, py: float, qx: float, qy: float, v: float) -> float:
@@ -64,6 +90,34 @@ def meet_time_bisect(px: float, py: float, qx: float, qy: float, v: float) -> fl
 
 # ---------------------------------------------------------------------------
 # reachability graphs
+
+
+def is_reachable(vehicle, demand_pos, v: float) -> bool:
+    """Can a unit-speed vehicle at `vehicle` meet a demand at `demand_pos`
+    before it crosses the vehicle's ordinate?
+
+    Both arguments are (x, y) pairs with vehicle y >= demand y.  True iff
+    v*|X - x| <= Y - y; boundary equality counts as reachable.
+    """
+    X, Y = vehicle
+    x, y = demand_pos
+    return v * abs(X - x) <= Y - y
+
+
+def deadline_edge(demand_i: Demand, demand_j: Demand) -> bool:
+    """Can j be captured on the deadline after capturing i on the deadline?
+
+    True iff |x_i - x_j| <= t_j - t_i and i != j.  Exact duplicate (t, x)
+    pairs are oriented from the smaller id to keep the relation acyclic.
+    """
+    if demand_i.id == demand_j.id:
+        return False
+    dt = demand_j.t_arr - demand_i.t_arr
+    if abs(demand_j.x - demand_i.x) > dt:
+        return False
+    if dt == 0.0 and demand_i.x == demand_j.x:
+        return demand_i.id < demand_j.id
+    return True
 
 
 def brute_reach_edges(arrivals, env_W, env_L, env_v, start, t0):
@@ -324,11 +378,14 @@ def emhp_nn_starts(s, points, f, starts: int) -> list[list[int]]:
             for c in firsts]
 
 
-def tour_nn_start(points, seed_point: int) -> list[int]:
-    """The nearest-neighbor closed tour that tour_two_opt starts from, as
-    point indices ending with seed_point again."""
-    D = _dense_dist_matrix(np.array([tuple(p) for p in points], dtype=float))
-    return _dense_nn_order(D, seed_point) + [seed_point]
+def tour(points, anchor: int = 0):
+    """Closed tour from points[anchor] through the others and back: the
+    package's emhp_heuristic path between two copies of the anchor (a
+    helper, not an independent method).  Returns (order, length), order as
+    indices into points, anchor first."""
+    rest = [i for i in range(len(points)) if i != anchor]
+    order, length = emhp_heuristic(points[anchor], [points[i] for i in rest], points[anchor])
+    return [anchor] + [rest[k] for k in order], length
 
 
 def _point_dist(P):

@@ -7,12 +7,23 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from guardsim import (
+    ExperimentSpec,
+    ParameterDomainError,
     TmhpInstance,
     VehicleState,
     applicable_bounds,
     build_reach_graph,
+    emhp_heuristic,
+    erf,
+    g_map,
+    generate_stream,
     graph_to_dict,
+    lp_lower_bound,
+    make_env,
     read_stream_jsonl,
+    run_gp,
+    run_lp,
+    run_tf,
     tmhp_solve,
 )
 from guardsim.cli import main
@@ -89,21 +100,25 @@ def test_tmhp_solve_subcommand(tmp_path, capsys):
 
 
 def test_simulate_subcommand_with_trace(tmp_path, capsys):
+    # the traced run is the harness's run of the policy, eta included
     trace_path = str(tmp_path / "trace.jsonl")
-    rc = main(["simulate", "--policy", "gp", "--W", "40", "--L", "100",
-               "--v", "1.5", "--lam", "1", "--n-demands", "60", "--runs", "2",
-               "--seed", "7", "--trace", trace_path])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["policy"] == "gp" and out["runs"] == 2
-    assert 0.0 <= out["mean"] <= 1.0 and "estimator" in out
-    with open(trace_path) as fh:
-        events = [json.loads(line) for line in fh if line.strip()]
-    from guardsim import generate_stream, make_env
     env = make_env(W=40, L=100, v=1.5, lam=1)
     stream = generate_stream(env, 60, seed=7)
-    resolved = check_trace(events, env, stream, start=(20.0,))
-    assert len(resolved) == 60
+    for policy, extra, direct in (
+            ("gp", [], run_gp(stream, trace=True)),
+            ("lp", ["--eta", "0.5"], run_lp(stream, eta=0.5, trace=True))):
+        rc = main(["simulate", "--policy", policy, "--W", "40", "--L", "100",
+                   "--v", "1.5", "--lam", "1", "--n-demands", "60", "--runs", "2",
+                   "--seed", "7", "--trace", trace_path, *extra])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["policy"] == policy and out["runs"] == 2
+        assert 0.0 <= out["mean"] <= 1.0 and "estimator" in out
+        with open(trace_path) as fh:
+            events = [json.loads(line) for line in fh if line.strip()]
+        assert events == [e.to_dict() for e in direct.trace]
+        resolved = check_trace(events, env, stream, start=(20.0,))
+        assert len(resolved) == 60
 
 
 def test_simulate_spec_file_override(tmp_path, capsys):
@@ -240,3 +255,46 @@ def test_graph_rejects_a_non_finite_start_time(tmp_path, capsys, t0):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "finite" in captured.err
     assert captured.out == ""
+
+
+_HUGE = 10 ** 400                  # an int too large for a float
+_HUGE_JSON = "1" + "0" * 400       # json reads it as that int
+
+
+def _cli_on_file(tmp_path, command, flag, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    return main([command, flag, str(path)])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda tmp: make_env(_HUGE, 1, 1, 1), id="make_env"),
+    pytest.param(lambda tmp: lp_lower_bound(_HUGE, 1), id="lp_lower_bound"),
+    pytest.param(lambda tmp: applicable_bounds(1, _HUGE, 1, 1), id="applicable_bounds"),
+    pytest.param(lambda tmp: erf(_HUGE), id="erf"),
+    pytest.param(lambda tmp: g_map((_HUGE, 1), 0.5), id="g_map-point"),
+    pytest.param(lambda tmp: g_map((1, 1), _HUGE), id="g_map-speed"),
+    pytest.param(lambda tmp: emhp_heuristic((0, 0), [(_HUGE, 1)], (1, 1)),
+                 id="emhp_heuristic"),
+    pytest.param(lambda tmp: run_tf(generate_stream(make_env(10, 20, 0.5, 1), 3, 0),
+                                    start=(_HUGE, 1)), id="run_tf-start"),
+    pytest.param(lambda tmp: ExperimentSpec(policy="gp", env=make_env(10, 20, 2, 1),
+                                            sweep=(1, _HUGE, 1)), id="spec-sweep"),
+    pytest.param(lambda tmp: _cli_on_file(
+        tmp, "simulate", "--spec",
+        '{"policy": "gp", "env": {"W": %s, "L": 200, "v": 2, "lam": 1}}' % _HUGE_JSON),
+        id="cli-simulate-spec"),
+    pytest.param(lambda tmp: _cli_on_file(
+        tmp, "tmhp-solve", "--instance",
+        '{"s": [%s, 0], "points": [], "f": [1, 1], "v": 0.5}' % _HUGE_JSON),
+        id="cli-tmhp-solve-instance"),
+])
+def test_int_too_large_for_a_float_is_a_domain_error(call, tmp_path, capsys):
+    # the library raises ParameterDomainError; the CLI exits 2 with "error:"
+    try:
+        rc = call(tmp_path)
+    except ParameterDomainError:
+        return
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""

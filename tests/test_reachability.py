@@ -11,17 +11,14 @@ from guardsim import (
     RegimeError,
     VehicleState,
     build_reach_graph,
-    deadline_edge,
-    demand_position,
     graph_to_dict,
-    is_reachable,
     longest_chain_fast,
     longest_path,
     make_env,
 )
 
-from ._oracles import (brute_reach_edges, check_plan, lattice_stream,
-                       longest_source_path_enum)
+from ._oracles import (brute_reach_edges, check_plan, deadline_edge, demand_position,
+                       is_reachable, lattice_stream, longest_source_path_enum)
 
 
 def _random_instance(rng, n_max=10, W=8.0):

@@ -23,7 +23,6 @@ from guardsim import (
     make_env,
     run_tf,
     tmhp_solve,
-    tour_two_opt,
 )
 
 from guardsim import tmhp
@@ -31,7 +30,7 @@ from guardsim.tmhp import _improvable, _local_search, _neighbours
 
 from ._oracles import (check_trace, emhp_brute, emhp_brute_lengths, emhp_heuristic_dense,
                        emhp_nn_start, emhp_nn_starts, fold_length, improving_candidate_moves,
-                       knn_brute, tour_nn_start, tour_two_opt_dense)
+                       knn_brute, tour, tour_two_opt_dense)
 
 
 def test_g_map_identity_limit():
@@ -220,13 +219,6 @@ def test_emhp_heuristic_convex_arc():
     assert length == el
 
 
-def test_tour_two_opt_square():
-    order, length = tour_two_opt([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)])
-    assert sorted(order) == [0, 1, 2, 3]
-    assert abs(length - 4.0) < 1e-12
-    assert tour_two_opt([(2.0, 2.0)]) == ([0], 0.0)
-
-
 def _cloud(n, seed, grid):
     """n points in [0, 10)^2; grid > 0 snaps them to a grid-spaced lattice,
     which makes duplicate points, collinear runs and tied distances."""
@@ -253,39 +245,24 @@ def _check_path(s, pts, f, k=10):
     assert improving_candidate_moves(coords, seq, k=k) == []
 
 
-def _check_tour(pts, anchor):
-    order, length = tour_two_opt(pts, anchor)
-    n = len(pts)
-    assert sorted(order) == list(range(n)) and order[0] == anchor
-    # the closed tour is the open path back to a copy of the anchor
-    coords, seq = pts + [pts[anchor]], order + [n]
-    assert length == fold_length(coords, seq)
-    assert length <= fold_length(pts, tour_nn_start(pts, anchor))
-    assert improving_candidate_moves(coords, seq) == []
-
-
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(65, 400), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
-def test_emhp_heuristic_large_local_optimum(n, seed, grid):
+@given(n=st.integers(65, 400), seed=st.integers(0, 2**32 - 1), grid=_GRIDS,
+       closed=st.booleans())
+def test_emhp_heuristic_large_local_optimum(n, seed, grid, closed):
+    # closed: f = s, the path of a closed tour
     pts = _cloud(n, seed, grid)
     s, f = pts.pop(), pts.pop()
-    _check_path(s, pts, f)
+    _check_path(s, pts, s if closed else f)
 
 
 @settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
-def test_emhp_heuristic_small_local_optimum(n, seed, grid):
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), grid=_GRIDS,
+       closed=st.booleans())
+def test_emhp_heuristic_small_local_optimum(n, seed, grid, closed):
     # up to 64 points the candidate lists are complete
     pts = _cloud(n, seed, grid)
     s, f = pts.pop(), pts.pop()
-    _check_path(s, pts, f, k=n + 1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(3, 300), seed=st.integers(0, 2**32 - 1), grid=_GRIDS,
-       anchor=st.integers(0, 2))
-def test_tour_two_opt_local_optimum(n, seed, grid, anchor):
-    _check_tour(_cloud(n, seed, grid)[:n], anchor)
+    _check_path(s, pts, s if closed else f, k=n + 1)
 
 
 @pytest.mark.parametrize("pts", [
@@ -295,7 +272,6 @@ def test_tour_two_opt_local_optimum(n, seed, grid, anchor):
 ], ids=["identical", "line", "diagonal"])
 def test_local_search_degenerate_clouds(pts):
     _check_path(pts[0], pts[1:-1], pts[-1])
-    _check_tour(pts, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -328,7 +304,7 @@ def test_improvable_nodes_match_oracle(n, seed, grid):
 def test_heuristic_length_within_one_percent_of_dense_reference():
     # fixed seeds: in total over the grid, the neighbour-list search is at
     # most 1% longer than the full-row 2-opt it replaced, open and closed
-    path = ref_path = tour = ref_tour = 0.0
+    path = ref_path = closed = ref_closed = 0.0
     for n in (20, 40, 64, 100, 300, 700, 1500):
         for seed in range(3):
             for grid in (0.0, 0.5):
@@ -336,10 +312,10 @@ def test_heuristic_length_within_one_percent_of_dense_reference():
                 s, f = pts.pop(), pts.pop()
                 path += emhp_heuristic(s, pts, f)[1]
                 ref_path += emhp_heuristic_dense(s, pts, f)[1]
-                tour += tour_two_opt(pts)[1]
-                ref_tour += tour_two_opt_dense(pts)[1]
+                closed += tour(pts)[1]
+                ref_closed += tour_two_opt_dense(pts)[1]
     assert path <= 1.01 * ref_path
-    assert tour <= 1.01 * ref_tour
+    assert closed <= 1.01 * ref_closed
 
 
 def _starts(call):
@@ -392,17 +368,6 @@ def test_emhp_small_starts_equal_nn_oracle(n, seed, grid):
     assert _starts(lambda: emhp_heuristic(s, pts, f)) == emhp_nn_starts(s, pts, f, 8)
 
 
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), grid=_GRIDS,
-       anchor=st.integers(0, 2**16))
-def test_tour_start_equals_nn_oracle(n, seed, grid, anchor):
-    pts = _cloud(n, seed, grid)[:n]
-    anchor %= n
-    start = _large_start(lambda: tour_two_opt(pts, anchor))
-    # node n is the copy of the anchor that closes the tour
-    assert start == tour_nn_start(pts, anchor)[:-1] + [n]
-
-
 def test_nn_start_fallback_matches_oracle():
     # tight clusters of 15 points, far apart and shuffled: before the walk
     # leaves a cluster, every one of a point's 10 nearest is visited, so the
@@ -419,11 +384,6 @@ def test_nn_start_fallback_matches_oracle():
         start = _large_start(lambda: emhp_heuristic(s, pts, f))
     assert len(calls) >= len(centres) - 1
     assert start == emhp_nn_start(s, pts, f)
-    calls.clear()
-    with _counting_fallback(calls):
-        start = _large_start(lambda: tour_two_opt(pts, 3))
-    assert len(calls) >= len(centres) - 1
-    assert start == tour_nn_start(pts, 3)[:-1] + [len(pts)]
 
 
 def test_emhp_heuristic_equals_oracle_start_then_search_3000_points():
@@ -437,17 +397,6 @@ def test_emhp_heuristic_equals_oracle_start_then_search_3000_points():
     _local_search(X, Y, seq, 50 * n * n, idx, dist, idx.tolist())
     assert emhp_heuristic(s, pts, f) == ([k - 1 for k in seq[1:-1]],
                                          fold_length(coords, seq))
-
-
-def test_tour_two_opt_seed_point_domain():
-    pts = [(0.0, 0.0), (5.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    for bad in (-2, 4, 7, 1.0, True, "0", None):
-        with pytest.raises(ParameterDomainError):
-            tour_two_opt(pts, bad)
-    with pytest.raises(ParameterDomainError):
-        tour_two_opt([], 1)
-    assert tour_two_opt([]) == ([], 0.0)
-    assert tour_two_opt(pts, np.int64(3))[0][0] == 3
 
 
 def test_tmhp_solve_empty_points():
@@ -469,6 +418,15 @@ def test_tmhp_instance_rejects_bad_coordinates(field, value):
         tmhp_solve(TmhpInstance(**raw))
 
 
+def test_tmhp_instance_reads_a_generator_once():
+    # points is stored as a tuple, so the check does not use a generator up
+    gen = TmhpInstance(s=(0, 0), points=((x, 1.0) for x in (1.0, 2.0)), f=(3, 3), v=0.5)
+    tup = TmhpInstance(s=(0, 0), points=((1.0, 1.0), (2.0, 1.0)), f=(3, 3), v=0.5)
+    assert gen == tup
+    assert tmhp_solve(gen) == tmhp_solve(tup)
+    assert tmhp_solve(gen).order == (0, 1)
+
+
 def test_heuristics_reject_non_finite_points():
     pts = [(float(i), float(i % 7)) for i in range(80)]
     for bad in ((math.nan, 1.0), (2.0, math.inf)):
@@ -477,8 +435,6 @@ def test_heuristics_reject_non_finite_points():
                 emhp_heuristic((0.0, 0.0), pts[:n] + [bad], (1.0, 1.0))
         with pytest.raises(ParameterDomainError):
             emhp_exact((0.0, 0.0), pts[:5] + [bad], (1.0, 1.0))
-        with pytest.raises(ParameterDomainError):
-            tour_two_opt(pts + [bad])
 
 
 def test_tmhp_identity_random():
