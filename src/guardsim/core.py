@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterDomainError
 
+_FLOAT_MAX = sys.float_info.max    # an int above it is too large for a float
+
 
 @dataclass(frozen=True)
 class EnvParams:
@@ -42,7 +44,7 @@ def make_env(W: float, L: float, v: float, lam: float) -> EnvParams:
     for name, value in (("W", W), ("L", L), ("v", v), ("lam", lam)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterDomainError(f"{name} must be a number, got {value!r}")
-        if not 0 < value <= sys.float_info.max:     # also an int too large for a float
+        if not 0 < value <= _FLOAT_MAX:
             raise ParameterDomainError(
                 f"{name} must be positive and finite, got {value!r}"
             )
@@ -87,8 +89,8 @@ class DemandStream:
     def __post_init__(self) -> None:
         prev = -math.inf
         for d in self.demands:
-            if not prev < d.t_arr < math.inf:
-                if not math.isfinite(d.t_arr):
+            if not prev < d.t_arr <= _FLOAT_MAX:
+                if not abs(d.t_arr) <= _FLOAT_MAX:
                     raise ContractViolationError(
                         f"demand {d.id}: arrival time {d.t_arr} is not finite")
                 raise ContractViolationError(
@@ -167,7 +169,7 @@ def _parse_record(path: str, no: int, line: str, build):
         return build(json.loads(line))
     except ParameterDomainError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ContractViolationError(
             f"{path}, line {no}: malformed record ({exc!r})") from None
 

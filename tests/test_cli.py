@@ -7,6 +7,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from guardsim import (
+    ContractViolationError,
+    Demand,
+    DemandStream,
     ExperimentSpec,
     ParameterDomainError,
     TmhpInstance,
@@ -280,6 +283,9 @@ def _cli_on_file(tmp_path, command, flag, text):
                                     start=(_HUGE, 1)), id="run_tf-start"),
     pytest.param(lambda tmp: ExperimentSpec(policy="gp", env=make_env(10, 20, 2, 1),
                                             sweep=(1, _HUGE, 1)), id="spec-sweep"),
+    pytest.param(lambda tmp: DemandStream(make_env(10, 20, 2, 1), 0,
+                                          [Demand(0, 1.0, 2.0), Demand(1, _HUGE, 3.0)]),
+                 id="stream-arrival"),
     pytest.param(lambda tmp: _cli_on_file(
         tmp, "simulate", "--spec",
         '{"policy": "gp", "env": {"W": %s, "L": 200, "v": 2, "lam": 1}}' % _HUGE_JSON),
@@ -288,12 +294,17 @@ def _cli_on_file(tmp_path, command, flag, text):
         tmp, "tmhp-solve", "--instance",
         '{"s": [%s, 0], "points": [], "f": [1, 1], "v": 0.5}' % _HUGE_JSON),
         id="cli-tmhp-solve-instance"),
+    pytest.param(lambda tmp: _cli_on_file(
+        tmp, "graph", "--stream",
+        '{"env": {"W": 10, "L": 20, "v": 2, "lam": 1}, "seed": 0}\n'
+        '{"id": 0, "t_arr": %s, "x": 2.0}\n' % _HUGE_JSON),
+        id="cli-graph-stream"),
 ])
-def test_int_too_large_for_a_float_is_a_domain_error(call, tmp_path, capsys):
-    # the library raises ParameterDomainError; the CLI exits 2 with "error:"
+def test_int_too_large_for_a_float_is_a_typed_error(call, tmp_path, capsys):
+    # the library raises a typed guardsim error; the CLI exits 2 with "error:"
     try:
         rc = call(tmp_path)
-    except ParameterDomainError:
+    except (ParameterDomainError, ContractViolationError):
         return
     assert rc == 2
     captured = capsys.readouterr()

@@ -272,6 +272,7 @@ def test_emhp_heuristic_small_local_optimum(n, seed, grid, closed):
 ], ids=["identical", "line", "diagonal"])
 def test_local_search_degenerate_clouds(pts):
     _check_path(pts[0], pts[1:-1], pts[-1])
+    _check_path(pts[1], pts[:1] + pts[2:], pts[1])      # a closed tour through pts
 
 
 @settings(max_examples=30, deadline=None)
