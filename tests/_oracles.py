@@ -378,14 +378,13 @@ def emhp_nn_starts(s, points, f, starts: int) -> list[list[int]]:
             for c in firsts]
 
 
-def tour(points, anchor: int = 0):
+def tour(points: list, anchor: int = 0):
     """Closed tour from points[anchor] through the others and back: the
     package's emhp_heuristic path between two copies of the anchor (a
-    helper, not an independent method).  Returns (order, length), order as
-    indices into points, anchor first."""
-    rest = [i for i in range(len(points)) if i != anchor]
-    order, length = emhp_heuristic(points[anchor], [points[i] for i in rest], points[anchor])
-    return [anchor] + [rest[k] for k in order], length
+    helper, not an independent method).  Returns emhp_heuristic's (order,
+    length); order indexes the points without the anchor."""
+    return emhp_heuristic(points[anchor], points[:anchor] + points[anchor + 1:],
+                          points[anchor])
 
 
 def _point_dist(P):
