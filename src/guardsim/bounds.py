@@ -12,9 +12,8 @@ can exceed both: a short burst of arrivals is often captured in full.
 from __future__ import annotations
 
 import math
-import sys
 
-from .errors import ParameterDomainError, RegimeError
+from .errors import ParameterDomainError, RegimeError, is_number, require_positive
 
 # Beardwood-Halton-Hammersley tour constant; empirical value, configurable.
 BETA_TSP = 0.7120
@@ -24,16 +23,9 @@ _SQRT_PI = math.sqrt(math.pi)
 
 def erf(x: float) -> float:
     """Error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt (math.erf)."""
-    if not abs(x) <= sys.float_info.max:      # also an int too large for a float
-        raise ParameterDomainError(f"erf requires finite x, got {x!r}")
+    if not is_number(x):
+        raise ParameterDomainError(f"erf requires a finite number, got {x!r}")
     return math.erf(x)
-
-
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not 0 < value <= sys.float_info.max:
-            raise ParameterDomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def lp_lower_bound(lam: float, W: float) -> float:
@@ -42,7 +34,7 @@ def lp_lower_bound(lam: float, W: float) -> float:
     1 / (sqrt(pi*alpha) * erf(sqrt(alpha)) + exp(-alpha)) with alpha = lam*W/2.
     Callers are responsible for the L >= v*W applicability context.
     """
-    _require_positive(lam=lam, W=W)
+    require_positive(lam=lam, W=W)
     alpha = lam * W / 2.0
     root = math.sqrt(alpha)
     return 1.0 / (_SQRT_PI * root * erf(root) + math.exp(-alpha))
@@ -50,7 +42,7 @@ def lp_lower_bound(lam: float, W: float) -> float:
 
 def lp_competitive_factor(v: float, W: float, L: float) -> float:
     """Factor c with F(LP) >= c * F(NCLP), for v >= 1: max(0, 1 - vW/L)."""
-    _require_positive(v=v, W=W, L=L)
+    require_positive(v=v, W=W, L=L)
     return max(0.0, 1.0 - v * W / L)
 
 
@@ -60,7 +52,7 @@ def causal_upper_bound(v: float, lam: float, W: float) -> float:
 
     A whole-run fraction that includes the start-up transient can exceed it.
     """
-    _require_positive(v=v, lam=lam, W=W)
+    require_positive(v=v, lam=lam, W=W)
     if v >= 1.0:
         raise RegimeError(f"causal_upper_bound applies to v < 1, got v={v}")
     return min(1.0, 2.0 / math.sqrt(v * lam * W))
@@ -74,7 +66,7 @@ def tf_lower_bound(v: float, lam: float, W: float, beta_tsp: float = BETA_TSP) -
     guarantee.  Finite runs with the heuristic planner may sit below it,
     and runs that include the start-up transient may sit above it.
     """
-    _require_positive(v=v, lam=lam, W=W, beta_tsp=beta_tsp)
+    require_positive(v=v, lam=lam, W=W, beta_tsp=beta_tsp)
     if v >= 1.0:
         raise RegimeError(f"tf_lower_bound applies to v < 1, got v={v}")
     return min(1.0, 1.0 / (beta_tsp * math.sqrt(v * lam * W)))
@@ -82,7 +74,7 @@ def tf_lower_bound(v: float, lam: float, W: float, beta_tsp: float = BETA_TSP) -
 
 def applicable_bounds(v: float, lam: float, W: float, L: float) -> dict[str, float]:
     """All bounds that apply in the regime of v, keyed by name."""
-    _require_positive(v=v, lam=lam, W=W, L=L)
+    require_positive(v=v, lam=lam, W=W, L=L)
     if v >= 1.0:
         return {
             "lp_lower_bound": lp_lower_bound(lam, W),

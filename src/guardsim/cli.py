@@ -15,8 +15,8 @@ from .core import VehicleState, generate_stream, make_env, read_stream_jsonl, \
     write_stream_jsonl
 from .errors import ContractViolationError
 from .deadline_policies import write_trace_jsonl
-from .harness import ExperimentSpec, _run_policy, monte_carlo, sweep, write_sweep_csv, \
-    write_sweep_svg
+from .harness import POLICIES, ExperimentSpec, _run_policy, monte_carlo, sweep, \
+    write_sweep_csv, write_sweep_svg
 from .reachability import build_reach_graph, graph_to_dict
 from .tmhp import TmhpInstance, tmhp_solve
 
@@ -26,6 +26,16 @@ def _add_env_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--L", type=float, default=500.0, help="deadline height")
     p.add_argument("--v", type=float, default=2.0, help="demand speed")
     p.add_argument("--lam", type=float, default=1.0, help="arrival rate")
+
+
+def _add_spec_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", choices=POLICIES, default="lp")
+    _add_env_args(p)
+    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--n-demands", type=int, default=2000, dest="n_demands")
+    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--spec", help="JSON spec file overriding the flags")
 
 
 def _field(raw: dict, key: str, path: str):
@@ -41,15 +51,9 @@ def _spec_from_args(args) -> ExperimentSpec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         env = make_env(**_field(raw, "env", args.spec))
-        return ExperimentSpec(
-            policy=_field(raw, "policy", args.spec),
-            env=env,
-            eta=raw.get("eta", 1.0),
-            n_demands=raw.get("n_demands", 2000),
-            runs=raw.get("runs", 10),
-            base_seed=raw.get("base_seed", 0),
-            sweep=tuple(raw["sweep"]) if raw.get("sweep") else None,
-        )
+        given = {k: raw[k] for k in ("eta", "n_demands", "runs", "base_seed", "sweep")
+                 if k in raw}
+        return ExperimentSpec(policy=_field(raw, "policy", args.spec), env=env, **given)
     env = make_env(W=args.W, L=args.L, v=args.v, lam=args.lam)
     swp = None
     if getattr(args, "lam_min", None) is not None:
@@ -127,24 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="replicated runs of one policy")
-    p.add_argument("--policy", choices=("nclp", "lp", "gp", "tf"), default="lp")
-    _add_env_args(p)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--n-demands", type=int, default=2000, dest="n_demands")
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spec", help="JSON spec file overriding the flags")
+    _add_spec_args(p)
     p.add_argument("--trace", help="write a JSONL event trace of the first run")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="lambda sweep to CSV (and optional SVG)")
-    p.add_argument("--policy", choices=("nclp", "lp", "gp", "tf"), default="lp")
-    _add_env_args(p)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--n-demands", type=int, default=2000, dest="n_demands")
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spec", help="JSON spec file overriding the flags")
+    _add_spec_args(p)
     p.add_argument("--lam-min", type=float, dest="lam_min")
     p.add_argument("--lam-max", type=float, dest="lam_max")
     p.add_argument("--lam-step", type=float, dest="lam_step")

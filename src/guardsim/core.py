@@ -13,15 +13,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterDomainError
-
-_FLOAT_MAX = sys.float_info.max    # an int above it is too large for a float
+from .errors import _FLOAT_MAX, ContractViolationError, ParameterDomainError, is_count, \
+    require_positive
 
 
 @dataclass(frozen=True)
@@ -41,13 +39,7 @@ class EnvParams:
 
 def make_env(W: float, L: float, v: float, lam: float) -> EnvParams:
     """Validate parameters and freeze them into an EnvParams."""
-    for name, value in (("W", W), ("L", L), ("v", v), ("lam", lam)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParameterDomainError(f"{name} must be a number, got {value!r}")
-        if not 0 < value <= _FLOAT_MAX:
-            raise ParameterDomainError(
-                f"{name} must be positive and finite, got {value!r}"
-            )
+    require_positive(W=W, L=L, v=v, lam=lam)
     return EnvParams(float(W), float(L), float(v), float(lam))
 
 
@@ -88,20 +80,24 @@ class DemandStream:
 
     def __post_init__(self) -> None:
         prev = -math.inf
-        for d in self.demands:
-            if not prev < d.t_arr <= _FLOAT_MAX:
-                if not abs(d.t_arr) <= _FLOAT_MAX:
+        try:
+            for d in self.demands:
+                if not prev < d.t_arr <= _FLOAT_MAX:
+                    if not abs(d.t_arr) <= _FLOAT_MAX:
+                        raise ContractViolationError(
+                            f"demand {d.id}: arrival time {d.t_arr} is not finite")
                     raise ContractViolationError(
-                        f"demand {d.id}: arrival time {d.t_arr} is not finite")
-                raise ContractViolationError(
-                    f"demand {d.id}: arrival times must be strictly increasing"
-                )
-            prev = d.t_arr
-            # generated abscissae live in [0, W); hand-built boundary x = W is tolerated
-            if not (0.0 <= d.x <= self.env.W):
-                raise ContractViolationError(
-                    f"demand {d.id}: abscissa {d.x} outside [0, {self.env.W}]"
-                )
+                        f"demand {d.id}: arrival times must be strictly increasing"
+                    )
+                prev = d.t_arr
+                # generated abscissae live in [0, W); hand-built boundary x = W is tolerated
+                if not (0.0 <= d.x <= self.env.W):
+                    raise ContractViolationError(
+                        f"demand {d.id}: abscissa {d.x} outside [0, {self.env.W}]"
+                    )
+        except TypeError:
+            raise ContractViolationError(f"demand {d.id}: arrival time {d.t_arr!r} "
+                                         f"and abscissa {d.x!r} must be numbers") from None
         # the deadline policies start their clock at t = 0; arrivals
         # increase, so the first is the earliest
         if self.demands and self.demands[0].t_arr < 0.0:
@@ -128,9 +124,9 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
     -ln(U)/lam, abscissae Uniform[0, W).  Draw order is fixed (all gaps,
     then all abscissae) so streams are bit-reproducible for a given seed.
     """
-    if not isinstance(n_demands, int) or n_demands < 0:
+    if not is_count(n_demands):
         raise ParameterDomainError(f"n_demands must be a non-negative int, got {n_demands!r}")
-    if not isinstance(seed, int) or seed < 0:
+    if not is_count(seed):
         raise ParameterDomainError(f"seed must be a non-negative int, got {seed!r}")
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(n_demands)          # in (0, 1], keeps -ln(U) finite

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import Demand, DemandStream, VehicleState
-from .errors import ContractViolationError, ParameterDomainError, RegimeError
+from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_number
 from .reachability import longest_chain_fast
 
 
@@ -183,15 +183,15 @@ def _check_start(env, start, strip: bool) -> tuple:
     if start is None:
         return (env.W / 2.0, env.L / 2.0) if strip else (env.W / 2.0,)
     try:
-        p = tuple(float(c) for c in start) if strip else (float(start),)
-    except (TypeError, ValueError, OverflowError):
+        p = tuple(start) if strip else (start,)
+    except TypeError:
         p = ()
-    if len(p) != 1 + strip or not all(math.isfinite(c) for c in p) \
+    if len(p) != 1 + strip or not all(map(is_number, p)) \
             or not 0.0 <= p[0] <= env.W or (strip and not 0.0 <= p[1] <= env.L):
         where = f"point (x, y) of [0, {env.W}] x [0, {env.L}]" if strip \
             else f"abscissa in [0, {env.W}]"
         raise ParameterDomainError(f"start must be a finite {where}, got {start!r}")
-    return p
+    return tuple(map(float, p))
 
 
 def _execute(sim: _EventKernel, commit: list[Demand], t: float, x: float):
@@ -249,8 +249,7 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
     """Causal longest path over outstanding demands, committing an eta
     fraction (ceil) of each recomputed path."""
     env = stream.env
-    if not isinstance(eta, (int, float)) or isinstance(eta, bool) or \
-            not 0.0 < float(eta) <= 1.0 or not math.isfinite(eta):
+    if not (is_number(eta) and 0 < eta <= 1):
         raise ParameterDomainError(f"eta must be in (0, 1], got {eta!r}")
     eta = float(eta)
     sim = _EventKernel(stream, start_x, trace)

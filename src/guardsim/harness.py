@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,20 +15,12 @@ import numpy as np
 from . import bounds as _bounds
 from .core import EnvParams, generate_stream, make_env
 from .deadline_policies import run_gp, run_lp, run_nclp
-from .errors import ParameterDomainError, RegimeError
+from .errors import ParameterDomainError, RegimeError, is_count, is_number
 from .tmhp import run_tf
 
 POLICIES = ("nclp", "lp", "gp", "tf")
 
 ESTIMATOR_NOTE = "mean of per-run capture fractions (runs simulated to quiescence)"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,15 +41,15 @@ class ExperimentSpec:
                 f"policy must be one of {POLICIES}, got {self.policy!r}")
         if not isinstance(self.env, EnvParams):
             raise ParameterDomainError(f"env must be an EnvParams, got {self.env!r}")
-        if not _is_int(self.runs) or self.runs < 1:
+        if not is_count(self.runs) or self.runs < 1:
             raise ParameterDomainError(f"runs must be a positive int, got {self.runs!r}")
-        if not _is_int(self.n_demands) or self.n_demands < 0:
+        if not is_count(self.n_demands):
             raise ParameterDomainError(
                 f"n_demands must be a non-negative int, got {self.n_demands!r}")
-        if not _is_int(self.base_seed) or self.base_seed < 0:
+        if not is_count(self.base_seed):
             raise ParameterDomainError(
                 f"base_seed must be a non-negative int, got {self.base_seed!r}")
-        if not _is_number(self.eta) or not 0.0 < self.eta <= 1.0:
+        if not is_number(self.eta) or not 0.0 < self.eta <= 1.0:
             raise ParameterDomainError(f"eta must be a number in (0, 1], got {self.eta!r}")
         if self.policy == "tf" and self.env.v >= 1.0:
             raise RegimeError("the tf policy needs v < 1")
@@ -66,8 +57,7 @@ class ExperimentSpec:
             raise RegimeError(f"the {self.policy} policy needs v >= 1")
         if self.sweep is not None:
             if not (isinstance(self.sweep, (tuple, list)) and len(self.sweep) == 3
-                    and all(_is_number(b) and abs(b) <= sys.float_info.max
-                            for b in self.sweep)):
+                    and all(map(is_number, self.sweep))):
                 raise ParameterDomainError(
                     f"sweep must be three finite numbers (lam_min, lam_max, step), "
                     f"got {self.sweep!r}")

@@ -9,13 +9,12 @@ its longest source-rooted path.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import VehicleState
-from .errors import ContractViolationError, ParameterDomainError, RegimeError
+from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_number
 
 
 @dataclass
@@ -47,10 +46,10 @@ class PathPlan:
 def _check_regime_and_state(vehicle: VehicleState, demands, v: float, L: float) -> None:
     if v < 1.0:
         raise RegimeError(f"deadline reachability needs v >= 1, got v={v}")
-    if not math.isfinite(vehicle.x):
-        raise ParameterDomainError(f"vehicle abscissa must be finite, got x={vehicle.x}")
-    if not math.isfinite(vehicle.t):
-        raise ParameterDomainError(f"vehicle time must be finite, got t={vehicle.t}")
+    if not is_number(vehicle.x):
+        raise ParameterDomainError(f"vehicle abscissa must be finite, got x={vehicle.x!r}")
+    if not is_number(vehicle.t):
+        raise ParameterDomainError(f"vehicle time must be finite, got t={vehicle.t!r}")
     if vehicle.y != L:
         raise ContractViolationError(
             f"vehicle must sit on the deadline y={L}, got y={vehicle.y}"

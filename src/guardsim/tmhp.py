@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import DemandStream
 from .deadline_policies import RunResult, _EventKernel
-from .errors import ContractViolationError, ParameterDomainError, SizeLimitError
+from .errors import _FLOAT_MAX, ContractViolationError, ParameterDomainError, SizeLimitError, \
+    is_number
 
 EXACT_SOLVER_CAP = 13        # Held-Karp subset table stays under 2^13 * 13 cells
 
@@ -30,18 +31,17 @@ _NEIGHBOUR_CHUNK = 1 << 13   # candidate pairs _neighbours examines at once
 
 
 def _check_speed(v: float) -> None:
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < 1:
+    if not (is_number(v) and 0 < v < 1):
         raise ParameterDomainError(f"translation speed must lie in (0, 1), got {v!r}")
 
 
 def _finite_xy(point, name: str):
-    """point as two finite numbers (x, y); anything else raises."""
+    """point as two numbers (x, y); anything else raises."""
     try:
         x, y = point
-        ok = math.isfinite(x) and math.isfinite(y)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    except (TypeError, ValueError):
+        x = y = None
+    if not (is_number(x) and is_number(y)):
         raise ParameterDomainError(f"{name}: expected finite (x, y) coordinates, got {point!r}")
     return x, y
 
@@ -90,15 +90,16 @@ def _intercept_time(vehicle, target_initial, v: float) -> float:
 # fixed-endpoint Hamiltonian paths (static space)
 
 
-def _dist_matrix(all_pts: np.ndarray) -> np.ndarray:
-    diff = all_pts[:, None, :] - all_pts[None, :, :]
-    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-
-
 def _path_points(s, points, f, caller: str) -> np.ndarray:
     """s, points and f as the rows of one float array; anything but finite
-    (x, y) pairs raises."""
-    return np.array([_finite_xy(p, caller) for p in [s, *points, f]], dtype=float)
+    (x, y) pairs raises, and so do points spread so far that the square of
+    two legs' sum, which _local_search takes, could overflow."""
+    P = np.array([_finite_xy(p, caller) for p in [s, *points, f]], dtype=float)
+    wx, wy = (b - a for a, b in zip(P.min(axis=0).tolist(), P.max(axis=0).tolist()))
+    if not wx * wx + wy * wy <= _FLOAT_MAX / 8:
+        raise ParameterDomainError(
+            f"{caller}: points spread {wx!r} by {wy!r}; need wx^2 + wy^2 <= float max / 8")
+    return P
 
 
 def emhp_exact(s, points, f):
@@ -115,12 +116,13 @@ def emhp_exact(s, points, f):
             f"exact solver capped at {EXACT_SOLVER_CAP} points, got {n}; "
             "use emhp_heuristic"
         )
-    D = _dist_matrix(_path_points(s, points, f, "emhp_exact"))
+    P = _path_points(s, points, f, "emhp_exact")
+    D = [_dists(x, y, P[:, 0], P[:, 1]).tolist() for x, y in P.tolist()]
     if n == 0:
-        return [], float(D[0, 1])
-    d = [[float(D[i + 1, j + 1]) for j in range(n)] for i in range(n)]
-    d_s = [float(D[0, j + 1]) for j in range(n)]
-    d_f = [float(D[j + 1, n + 1]) for j in range(n)]
+        return [], D[0][1]
+    d = [row[1:-1] for row in D[1:-1]]
+    d_s = D[0][1:-1]
+    d_f = [row[-1] for row in D[1:-1]]
 
     size = 1 << n
     INF = math.inf
@@ -164,9 +166,9 @@ def emhp_exact(s, points, f):
 def _dists(px, py, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Distances from (px, py) to each (X[k], Y[k]).
 
-    The operations of _dist_matrix in the same order, done in place, so each
-    value equals the matrix entry bit for bit (the matrix is exactly
-    symmetric, and x ** 2 is x * x).
+    Done in place.  emhp_exact's table and the neighbour lists take their
+    distances from here and _local_search repeats the same operations, so
+    a leg has one value, bit for bit, wherever it is computed.
     """
     dx = px - X
     dx *= dx
@@ -509,12 +511,14 @@ def emhp_heuristic(s, points, f):
     """
     n = len(points)
     P = _path_points(s, points, f, "emhp_heuristic")
+    if n == 0:
+        return [], _fold_length(P)              # s -> f
     X, Y = P[:, 0], P[:, 1]
     small = n <= _SMALL_HEURISTIC_CAP
     near_idx, near_d = _neighbours(X, Y, n + 1 if small else _NEIGHBOURS)
     nbr = near_idx.tolist()
     budget = 50 * n * n
-    seq, best = [0, n + 1], None                # n == 0: s -> f
+    best = None
     firsts = np.argsort(_dists(X[0], Y[0], X[1:-1], Y[1:-1]), kind="stable")
     for c in firsts[:_STARTS if small else 1]:
         cand = _nn_path(X, Y, nbr, [0, int(c) + 1], n + 1)
@@ -524,7 +528,7 @@ def emhp_heuristic(s, points, f):
             seq, best = cand, length
         if budget <= 0:
             break
-    return [k - 1 for k in seq[1:-1]], _fold_length(P[seq])
+    return [k - 1 for k in seq[1:-1]], best
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,9 @@ def test_lp_lower_bound_rejects_bad_parameters():
 
 
 def test_bounds_reject_non_numbers():
-    for bad in ("a", None, True, (1.0,)):
+    for bad in ("a", "1", None, True, (1.0,)):
+        with pytest.raises(ParameterDomainError):
+            erf(bad)
         with pytest.raises(ParameterDomainError):
             applicable_bounds(bad, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterDomainError):

@@ -65,7 +65,7 @@ def test_stream_validation():
     assert len(s) == 1
 
 
-@pytest.mark.parametrize("t_arr", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t_arr", [math.nan, math.inf, -math.inf, "1"])
 def test_stream_rejects_non_finite_arrival(t_arr):
     env = make_env(W=10, L=20, v=1, lam=1)
     with pytest.raises(ContractViolationError):
@@ -92,7 +92,7 @@ def test_stream_may_start_at_time_zero():
     assert run_gp(s, start_x=5.0).n_capt == 2
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, "1"])
 def test_stream_rejects_non_finite_abscissa(x):
     env = make_env(W=10, L=20, v=1, lam=1)
     with pytest.raises(ContractViolationError):
@@ -174,7 +174,8 @@ def test_generate_stream_statistics():
 
 def test_generate_stream_rejects_bad_args():
     env = make_env(W=10, L=20, v=0.5, lam=2.0)
-    for n, seed in ((-1, 0), (2.5, 0), (10, -1), (10, 1.5)):
+    for n, seed in ((-1, 0), (2.5, 0), (10, -1), (10, 1.5), (True, 0), (10, True),
+                    (10 ** 400, 0)):
         with pytest.raises(ParameterDomainError):
             generate_stream(env, n, seed)
 

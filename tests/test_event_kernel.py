@@ -288,7 +288,7 @@ def test_gp_equal_deadlines_go_to_the_smallest_id():
         ("capture", 9, 250.5), ("escape", 5, 251.0), ("capture", 3, 251.0)]
 
 
-BAD_START_X = [math.nan, math.inf, -math.inf, -1e6, -0.5, 10.5, "left", (5.0,)]
+BAD_START_X = [math.nan, math.inf, -math.inf, -1e6, -0.5, 10.5, "left", (5.0,), True, "3"]
 
 
 @pytest.mark.parametrize("runner", [run_nclp, run_lp, run_gp])
@@ -308,7 +308,7 @@ def test_deadline_start_at_either_end(runner):
 
 
 BAD_TF_STARTS = [(50.0, 1e9), (1.0, 2.0, 3.0), (5.0,), (math.nan, 1.0), (1.0, math.inf),
-                 (-1.0, 5.0), (101.0, 5.0), (5.0, -1.0), 5.0, "ab"]
+                 (-1.0, 5.0), (101.0, 5.0), (5.0, -1.0), 5.0, "ab", ("1", "2"), (True, 2.0)]
 
 
 @pytest.mark.parametrize("start", BAD_TF_STARTS, ids=repr)

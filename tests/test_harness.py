@@ -43,7 +43,8 @@ def test_spec_validation():
 
 def test_spec_rejects_badly_typed_fields():
     for kwargs in (dict(eta="x"), dict(eta=None), dict(eta=True), dict(runs=True),
-                   dict(runs=2.0), dict(n_demands="10"), dict(base_seed=-1),
+                   dict(runs=2.0), dict(n_demands="10"), dict(n_demands=10 ** 400),
+                   dict(base_seed=-1),
                    dict(base_seed=1.5), dict(sweep=(0.5, "2", 0.5)),
                    dict(sweep=(0.5, 2.0)), dict(sweep=(0.5, float("inf"), 0.5)),
                    dict(env={"W": 1.0})):

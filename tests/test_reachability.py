@@ -229,7 +229,7 @@ def test_graph_to_dict_structure():
     assert d["source"] == {"x": 5.0, "y": 20.0, "t": 0.0}
 
 
-@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf"), "1"])
 def test_planners_reject_a_non_finite_vehicle_abscissa(x):
     demands = [Demand(0, 1.0, 5.0), Demand(1, 2.0, 5.5)]
     vehicle = VehicleState(x, 20.0, 0.0)
@@ -239,7 +239,7 @@ def test_planners_reject_a_non_finite_vehicle_abscissa(x):
         longest_chain_fast(vehicle, demands, v=2.0, L=20.0)
 
 
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), "1"])
 def test_planners_reject_a_non_finite_vehicle_time(t):
     demands = [Demand(0, 1.0, 5.0), Demand(1, 2.0, 5.5)]
     vehicle = VehicleState(5.0, 20.0, t)

@@ -75,7 +75,7 @@ def test_speed_domain_errors():
 
 BAD_POINTS = [
     (math.nan, 1.0), (0.0, math.inf), (-math.inf, 2.0), (1.0,), (1.0, 2.0, 3.0),
-    "ab", ("x", 1.0), None, 5.0,
+    "ab", ("x", 1.0), None, 5.0, (True, 1.0),
 ]
 
 
@@ -91,10 +91,15 @@ def test_point_maps_reject_bad_coordinates(bad):
         intercept_time((0.0, 0.0), bad, 0.5)
 
 
-@pytest.mark.parametrize("bad", BAD_POINTS)
+# finite, but so far from the others that squared distances overflow
+FAR_POINTS = [(1e160, 1.0), (-1e160, 1e160)]
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS + FAR_POINTS)
 def test_path_solvers_reject_bad_coordinates(bad):
     pts = [(float(i), float(i % 7)) for i in range(80)]
-    for solver, n in ((emhp_exact, 5), (emhp_heuristic, 5), (emhp_heuristic, 80)):
+    for solver, n in ((emhp_exact, 5), (emhp_heuristic, 5), (emhp_heuristic, 20),
+                      (emhp_heuristic, 80)):
         match = f"^{solver.__name__}: "
         for args in ((bad, pts[:n], (1.0, 1.0)), ((0.0, 0.0), pts[:n] + [bad], (1.0, 1.0)),
                      ((0.0, 0.0), pts[:n], bad)):
@@ -106,6 +111,16 @@ def test_path_solvers_reject_bad_coordinates(bad):
             solver((0.0, 0.0, 9.0), [(3.0, 4.0, 1.0)], (3.0, 4.0, 7.0))
         with pytest.raises(ParameterDomainError):
             solver((0.0,), [(1.0,)], (3.0,))
+
+
+def test_path_solvers_reject_points_whose_leg_sums_overflow():
+    # squared distances fit in a float here (spread^2 is about 0.7 of the
+    # float max), but the local search squares a sum of two legs, which
+    # raised a bare OverflowError
+    args = ((9e153, 7e153), [(7e153, 2e152), (7e153, 5e152)], (0.0, 2e152))
+    for solver in (emhp_exact, emhp_heuristic):
+        with pytest.raises(ParameterDomainError, match=f"^{solver.__name__}: "):
+            solver(*args)
 
 
 def test_intercept_time_euclidean_limit():
