@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -126,6 +127,9 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
     """
     if not is_count(n_demands):
         raise ParameterDomainError(f"n_demands must be a non-negative int, got {n_demands!r}")
+    if n_demands * 8 > sys.maxsize:      # its float arrays would hold over sys.maxsize bytes
+        raise ParameterDomainError(
+            f"n_demands must be at most sys.maxsize // 8 = {sys.maxsize // 8}, got {n_demands!r}")
     if not is_count(seed):
         raise ParameterDomainError(f"seed must be a non-negative int, got {seed!r}")
     rng = np.random.default_rng(seed)

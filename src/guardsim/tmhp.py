@@ -74,8 +74,9 @@ def intercept_time(vehicle, target_initial, v: float) -> float:
     exactly; the aim point sits at distance exactly T from the vehicle.
     """
     _check_speed(v)
-    return _intercept_time(_finite_xy(vehicle, "vehicle"),
-                           _finite_xy(target_initial, "target_initial"), v)
+    (X, Y), (x, y) = _finite_xy(vehicle, "vehicle"), _finite_xy(target_initial, "target_initial")
+    _check_spread(abs(X - x), abs(Y - y), "intercept_time")
+    return _intercept_time((X, Y), (x, y), v)
 
 
 def _intercept_time(vehicle, target_initial, v: float) -> float:
@@ -95,15 +96,21 @@ def _path_points(s, points, f, caller: str) -> np.ndarray:
     (x, y) pairs raises, and so do points spread so far that the square of
     two legs' sum, which _local_search takes, could overflow."""
     P = np.array([_finite_xy(p, caller) for p in [s, *points, f]], dtype=float)
-    wx, wy = (b - a for a, b in zip(P.min(axis=0).tolist(), P.max(axis=0).tolist()))
-    if not wx * wx + wy * wy <= _FLOAT_MAX / 8:
-        raise ParameterDomainError(
-            f"{caller}: points spread {wx!r} by {wy!r}; need wx^2 + wy^2 <= float max / 8")
+    lo, hi = P.min(axis=0).tolist(), P.max(axis=0).tolist()
+    _check_spread(hi[0] - lo[0], hi[1] - lo[1], caller)
     return P
 
 
+def _check_spread(wx, wy, caller: str) -> None:
+    """Raise unless wx^2 + wy^2 <= float max / 8, so that squares of
+    distances, and of sums of two of them, stay finite."""
+    if not wx * wx + wy * wy <= _FLOAT_MAX / 8:
+        raise ParameterDomainError(
+            f"{caller}: points spread {wx!r} by {wy!r}; need wx^2 + wy^2 <= float max / 8")
+
+
 def emhp_exact(s, points, f):
-    """Optimal s -> points -> f path by Held-Karp over subsets.
+    """Optimal s -> points -> f path by Held-Karp, one subset size at a time.
 
     Returns (order, length); order indexes into points.  Accumulation is
     sequential left to right, so the length is bit-identical to minimizing
@@ -117,50 +124,34 @@ def emhp_exact(s, points, f):
             "use emhp_heuristic"
         )
     P = _path_points(s, points, f, "emhp_exact")
-    D = [_dists(x, y, P[:, 0], P[:, 1]).tolist() for x, y in P.tolist()]
+    D = np.array([_dists(x, y, P[:, 0], P[:, 1]) for x, y in P.tolist()])
     if n == 0:
-        return [], D[0][1]
-    d = [row[1:-1] for row in D[1:-1]]
-    d_s = D[0][1:-1]
-    d_f = [row[-1] for row in D[1:-1]]
+        return [], float(D[0, 1])
+    d = D[1:-1, 1:-1]
 
-    size = 1 << n
-    INF = math.inf
-    # g[mask][i]: cheapest running sum from s over exactly mask, ending at i
-    g = [[INF] * n for _ in range(size)]
-    parent = [[-1] * n for _ in range(size)]
-    for i in range(n):
-        g[1 << i][i] = d_s[i]
-    for mask in range(size):
-        row = g[mask]
-        for i in range(n):
-            gi = row[i]
-            if gi == INF or not (mask >> i) & 1:
-                continue
-            di = d[i]
-            for j in range(n):
-                if (mask >> j) & 1:
-                    continue
-                nm = mask | (1 << j)
-                cand = gi + di[j]
-                if cand < g[nm][j]:
-                    g[nm][j] = cand
-                    parent[nm][j] = i
-    full = size - 1
-    best_len = INF
-    best_end = -1
-    for i in range(n):
-        total = g[full][i] + d_f[i]
-        if total < best_len:
-            best_len = total
-            best_end = i
-    order = []
-    mask, i = full, best_end
+    full = (1 << n) - 1
+    has = ((np.arange(full + 1)[:, None] >> np.arange(n)) & 1).astype(bool)  # j in mask
+    size = has.sum(axis=1)
+    # g[mask, j]: cheapest running sum from s over exactly mask, ending at j
+    # (inf where j is not in mask); parent[mask, j]: the point before j
+    g = np.full((full + 1, n), np.inf)
+    parent = np.full((full + 1, n), -1)
+    g[1 << np.arange(n), np.arange(n)] = D[0, 1:-1]
+    for k in range(2, n + 1):
+        layer = size == k
+        for j in range(n):
+            nm = np.flatnonzero(layer & has[:, j])
+            cand = g[nm ^ (1 << j)] + d[:, j]       # cand[r, i]: nm[r] by way of i, then j
+            parent[nm, j] = cand.argmin(axis=1)     # the first minimum: the smallest i
+            g[nm, j] = cand.min(axis=1)
+    total = g[full] + D[1:-1, -1]
+    end = int(total.argmin())
+    order, mask, i = [], full, end
     while i >= 0:
         order.append(i)
-        mask, i = mask ^ (1 << i), parent[mask][i]
+        mask, i = mask ^ (1 << i), int(parent[mask, i])
     order.reverse()
-    return order, float(best_len)
+    return order, float(total[end])
 
 
 def _dists(px, py, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -155,6 +155,11 @@ def test_cli_error_paths(capsys):
     assert capsys.readouterr().err.startswith("error:")
     rc = main(["graph", "--stream", "/nonexistent/stream.jsonl"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    # 2**62 demands: arrays of 8 * 2**62 bytes, which numpy refuses with a bare ValueError
+    rc = main(["gen-stream", "--n-demands", "4611686018427387904"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: n_demands ")
     with pytest.raises(SystemExit):
         main(["sweep", "--policy", "gp"])      # --csv is required
 

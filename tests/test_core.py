@@ -1,5 +1,6 @@
 """Environment, demand lifecycle, stream generation, and serialization."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +179,11 @@ def test_generate_stream_rejects_bad_args():
                     (10 ** 400, 0)):
         with pytest.raises(ParameterDomainError):
             generate_stream(env, n, seed)
+    # counts whose float arrays would exceed sys.maxsize bytes, which numpy
+    # refuses with a bare ValueError
+    for n in (2 ** 60, sys.maxsize):
+        with pytest.raises(ParameterDomainError, match="^n_demands "):
+            generate_stream(env, n, 0)
 
 
 def test_empty_stream():

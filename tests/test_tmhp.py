@@ -89,6 +89,10 @@ def test_point_maps_reject_bad_coordinates(bad):
         intercept_time(bad, (0.0, 0.0), 0.5)
     with pytest.raises(ParameterDomainError, match="^target_initial: "):
         intercept_time((0.0, 0.0), bad, 0.5)
+    # finite, but 1e160 apart in x or in y: the squared offset overflows
+    for far in ((1e160, 0.0), (0.0, 1e160)):
+        with pytest.raises(ParameterDomainError, match="^intercept_time: "):
+            intercept_time((0.0, 0.0), far, 0.5)
 
 
 # finite, but so far from the others that squared distances overflow
@@ -158,6 +162,10 @@ def test_emhp_exact_empty_and_collinear():
     pts = [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
     order, length = emhp_exact((0.0, 0.0), pts, (4.0, 0.0))
     assert order == [0, 1, 2] and length == 4.0
+    # duplicate points tie; walking back from f, each step takes the
+    # smallest index among equal running sums, the last point first
+    assert emhp_exact((0.0, 0.0), [(1.0, 0.0), (1.0, 0.0)], (2.0, 0.0)) == ([1, 0], 2.0)
+    assert emhp_exact((0.0, 0.0), pts[:1] + pts[:2], (3.0, 0.0)) == ([1, 0, 2], 3.0)
 
 
 def test_emhp_exact_matches_brute_force():
@@ -189,6 +197,23 @@ def test_emhp_exact_matches_brute_force_on_lattices(data, n, step):
     assert fold_length([s] + pts + [f], [0] + [k + 1 for k in order] + [n + 1]) == length
     if (lengths == blen).sum() == 1:
         assert order == border
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(9, 13), seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([0.0, 0.5, 1.0]))
+def test_emhp_exact_no_swap_shortens_large_plans(n, seed, grid):
+    # beyond the brute-force sizes: a permutation, its left-to-right length,
+    # and no exchange of two positions gives a strictly shorter fold
+    coords = _cloud(n, seed, grid)
+    order, length = emhp_exact(coords[0], coords[1:-1], coords[-1])
+    assert sorted(order) == list(range(n))
+    seq = [0] + [k + 1 for k in order] + [n + 1]
+    assert fold_length(coords, seq) == length
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            seq[a], seq[b] = seq[b], seq[a]
+            assert fold_length(coords, seq) >= length
+            seq[a], seq[b] = seq[b], seq[a]
 
 
 def test_emhp_exact_size_cap():
