@@ -11,9 +11,8 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from .core import VehicleState, generate_stream, make_env, read_stream_jsonl, \
+from .core import VehicleState, generate_stream, make_env, read_json, read_stream_jsonl, \
     write_stream_jsonl
-from .errors import ContractViolationError
 from .deadline_policies import write_trace_jsonl
 from .harness import POLICIES, ExperimentSpec, _run_policy, monte_carlo, sweep, \
     write_sweep_csv, write_sweep_svg
@@ -38,22 +37,15 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="JSON spec file overriding the flags")
 
 
-def _field(raw: dict, key: str, path: str):
-    try:
-        return raw[key]
-    except (KeyError, TypeError):
-        raise ContractViolationError(
-            f"{path}: expected an object with field {key!r}") from None
+def _print_json(obj) -> None:
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _spec_from_args(args) -> ExperimentSpec:
     if getattr(args, "spec", None):
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        env = make_env(**_field(raw, "env", args.spec))
-        given = {k: raw[k] for k in ("eta", "n_demands", "runs", "base_seed", "sweep")
-                 if k in raw}
-        return ExperimentSpec(policy=_field(raw, "policy", args.spec), env=env, **given)
+        return read_json(args.spec, lambda r: ExperimentSpec(
+            **{**r, "env": make_env(**r["env"])}))
     env = make_env(W=args.W, L=args.L, v=args.v, lam=args.lam)
     swp = None
     if getattr(args, "lam_min", None) is not None:
@@ -68,9 +60,7 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         stream = generate_stream(spec.env, spec.n_demands, spec.base_seed)
         write_trace_jsonl(_run_policy(spec, stream, trace=True), args.trace)
-    out = monte_carlo(spec).to_dict()
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(monte_carlo(spec).to_dict())
     return 0
 
 
@@ -85,9 +75,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    vals = bounds_mod.applicable_bounds(args.v, args.lam, args.W, args.L)
-    json.dump(vals, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(bounds_mod.applicable_bounds(args.v, args.lam, args.W, args.L))
     return 0
 
 
@@ -97,24 +85,14 @@ def _cmd_graph(args) -> int:
     x0 = env.W / 2.0 if args.start_x is None else args.start_x
     vehicle = VehicleState(x=x0, y=env.L, t=args.t0)
     graph = build_reach_graph(vehicle, list(stream), env.v, env.L)
-    json.dump(graph_to_dict(graph), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(graph_to_dict(graph))
     return 0
 
 
 def _cmd_tmhp_solve(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    inst = TmhpInstance(
-        s=tuple(_field(raw, "s", args.instance)),
-        points=tuple(tuple(p) for p in _field(raw, "points", args.instance)),
-        f=tuple(_field(raw, "f", args.instance)),
-        v=_field(raw, "v", args.instance),
-    )
-    sol = tmhp_solve(inst)
-    json.dump({"order": list(sol.order), "duration": sol.duration,
-               "emhp_length": sol.emhp_length}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sol = tmhp_solve(read_json(args.instance, lambda r: TmhpInstance(**r)))
+    _print_json({"order": list(sol.order), "duration": sol.duration,
+                 "emhp_length": sol.emhp_length})
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Environment, demand kinematics, and seeded Poisson demand streams.
+"""Environment, demand kinematics, seeded Poisson demand streams, and JSON files.
 
 A unit-speed service vehicle guards the deadline segment y = L of the
 strip [0, W] x [0, L].  Demands appear on the generator y = 0 as a
@@ -14,13 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
-from .errors import _FLOAT_MAX, ContractViolationError, ParameterDomainError, is_count, \
-    require_positive
+from .errors import _FLOAT_MAX, ContractViolationError, ParameterDomainError, RegimeError, \
+    SizeLimitError, is_count, is_number, require_positive
 
 
 @dataclass(frozen=True)
@@ -141,47 +142,69 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
     return DemandStream(env=env, seed=seed, demands=demands)
 
 
-# --- stream serialization -------------------------------------------------
-# JSON lines: a header record with the environment and seed, then one
-# record {id, t_arr, x} per demand.  Floats round-trip exactly (repr).
+# --- JSON files -----------------------------------------------------------
+# Spec and instance files hold one JSON value; streams and traces hold JSON
+# lines.  A stream file is a header {env, seed, n}, then one {id, t_arr, x}
+# per demand.  Floats round-trip exactly (repr).
+
+def write_jsonl(records, out) -> None:
+    """Write each record as one JSON line to out, a file path or an open text file."""
+    if isinstance(out, (str, bytes, os.PathLike)):
+        with open(out, "w", encoding="utf-8") as fh:
+            write_jsonl(records, fh)
+        return
+    for r in records:
+        out.write(json.dumps(r) + "\n")
+
 
 def write_stream_jsonl(stream: DemandStream, out) -> None:
     """Write stream to out, a file path or an open text file."""
-    if isinstance(out, (str, bytes, os.PathLike)):
-        with open(out, "w", encoding="utf-8") as fh:
-            write_stream_jsonl(stream, fh)
-        return
-    env = stream.env
-    header = {
-        "env": {"W": env.W, "L": env.L, "v": env.v, "lam": env.lam},
-        "seed": stream.seed,
-        "n": len(stream),
-    }
-    out.write(json.dumps(header) + "\n")
-    for d in stream.demands:
-        out.write(json.dumps({"id": d.id, "t_arr": d.t_arr, "x": d.x}) + "\n")
+    header = {"env": asdict(stream.env), "seed": stream.seed, "n": len(stream)}
+    write_jsonl(chain([header], ({"id": d.id, "t_arr": d.t_arr, "x": d.x} for d in stream)),
+                out)
 
 
-def _parse_record(path: str, no: int, line: str, build):
-    """build(json record of one line), with a malformed line reported as a
-    ContractViolationError that names the file and line."""
+def read_json(path: str, build, line: tuple[int, str] | None = None):
+    """build(the JSON value in the file at path, or in its line = (number, text)).
+
+    A guardsim error passes through unchanged; any other failure becomes a
+    ContractViolationError that names the file and line.
+    """
     try:
-        return build(json.loads(line))
-    except ParameterDomainError:
+        if line is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                return build(json.load(fh))
+        return build(json.loads(line[1]))
+    except (ParameterDomainError, RegimeError, ContractViolationError, SizeLimitError):
         raise
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ContractViolationError(
-            f"{path}, line {no}: malformed record ({exc!r})") from None
+        where = path if line is None else f"{path}, line {line[0]}"
+        raise ContractViolationError(f"{where}: malformed record ({exc!r})") from None
+
+
+def _stream_header(r):
+    env, seed, n = make_env(**r["env"]), r["seed"], r.get("n")
+    if not (is_count(seed) and (n is None or is_count(n))):
+        raise ValueError(f"seed and n must be counts, got {seed!r} and {n!r}")
+    return env, seed, n
+
+
+def _stream_record(r) -> Demand:
+    if not (is_count(r["id"]) and is_number(r["t_arr"]) and is_number(r["x"])):
+        raise ValueError(f"id must be a count, t_arr and x numbers, got {r!r}")
+    return Demand(r["id"], float(r["t_arr"]), float(r["x"]))
 
 
 def read_stream_jsonl(path: str) -> DemandStream:
+    """Read a stream file; a header without n is taken at its records' count."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1)
                  if ln.strip()]
     if not lines:
         raise ContractViolationError(f"{path}: empty stream file")
-    env, seed = _parse_record(path, *lines[0],
-                              lambda r: (make_env(**r["env"]), int(r["seed"])))
-    demands = [_parse_record(path, no, ln, lambda r: Demand(
-        int(r["id"]), float(r["t_arr"]), float(r["x"]))) for no, ln in lines[1:]]
+    env, seed, n = read_json(path, _stream_header, lines[0])
+    demands = [read_json(path, _stream_record, line) for line in lines[1:]]
+    if n is not None and n != len(demands):
+        raise ContractViolationError(
+            f"{path}: the header gives n = {n}, but {len(demands)} records follow")
     return DemandStream(env=env, seed=seed, demands=demands)

@@ -10,12 +10,11 @@ of `tmhp`; its docstring gives the order of simultaneous events.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Demand, DemandStream, VehicleState
+from .core import Demand, DemandStream, VehicleState, write_jsonl
 from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_number
 from .reachability import longest_chain_fast
 
@@ -61,9 +60,7 @@ class RunResult:
 def write_trace_jsonl(result: RunResult, path: str) -> None:
     if result.trace is None:
         raise ParameterDomainError("run has no trace; rerun with trace=True")
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in result.trace:
-            fh.write(json.dumps(ev.to_dict()) + "\n")
+    write_jsonl((ev.to_dict() for ev in result.trace), path)
 
 
 class _EventKernel:

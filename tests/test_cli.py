@@ -184,6 +184,47 @@ def test_cli_malformed_json_files(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'f'" in err
 
+    # a spec's keys are ExperimentSpec's fields and its env's make_env's arguments
+    env = {"W": 50.0, "L": 200.0, "v": 2.0, "lam": 0.8}
+    for raw in ({"policy": "gp", "env": [1, 2]},
+                {"policy": "gp", "env": {**env, "mu": 1.0}},
+                {"policy": "gp", "env": env, "n_demand": 40}):
+        spec_path.write_text(json.dumps(raw))
+        rc = main(["simulate", "--spec", str(spec_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}: ")
+
+    # TmhpInstance's own check names the field it refuses
+    for field, value in (("s", 5), ("points", 5), ("points", [5])):
+        raw = {"s": [0, 5], "points": [[1, 2]], "f": [4, 1], "v": 0.4}
+        raw[field] = value
+        inst_path.write_text(json.dumps(raw))
+        rc = main(["tmhp-solve", "--instance", str(inst_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    # a guardsim error keeps its own message
+    spec_path.write_text(json.dumps({"policy": "tf", "env": env}))
+    rc = main(["simulate", "--spec", str(spec_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: the tf policy needs v < 1\n"
+
+
+def test_cli_truncated_stream_file(tmp_path, capsys):
+    path = str(tmp_path / "s.jsonl")
+    main(["gen-stream", "--W", "10", "--L", "20", "--v", "2", "--lam", "1",
+          "--n-demands", "5", "--seed", "5", "--out", path])
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(lines[:3])           # the header and 2 of its 5 records
+    rc = main(["graph", "--stream", path])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and "n = 5" in captured.err
+    assert captured.out == ""
+
 
 def test_cli_malformed_stream_record(tmp_path, capsys):
     path = tmp_path / "stream.jsonl"

@@ -121,7 +121,12 @@ def test_read_stream_rejects_non_finite_arrival(tmp_path):
     (['{"id": 0, "t_arr": null, "x": 2.0}'], 2),
     (['[0, 1.0, 2.0]'], 2),
     (['{"id": 0, "t_arr": 1.0, "x": 2.0'], 2),
-], ids=["missing-x", "text", "null", "not-an-object", "not-json"])
+    (['{"id": 0, "t_arr": 1.0, "x": 2.0}', '{"id": 2.9, "t_arr": 2.0, "x": 2.0}'], 3),
+    (['{"id": true, "t_arr": 1.0, "x": 2.0}'], 2),
+    (['{"id": 0, "t_arr": "3.0", "x": 2.0}'], 2),
+    (['{"id": 0, "t_arr": 1.0, "x": "2"}'], 2),
+], ids=["missing-x", "text", "null", "not-an-object", "not-json", "float-id", "bool-id",
+        "text-arrival", "text-abscissa"])
 def test_read_stream_rejects_malformed_record(tmp_path, lines, bad_line):
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(['{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}, "seed": 0}']
@@ -133,7 +138,9 @@ def test_read_stream_rejects_malformed_record(tmp_path, lines, bad_line):
 def test_read_stream_rejects_malformed_header(tmp_path):
     path = tmp_path / "bad.jsonl"
     for header in ('{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}}',
-                   '{"seed": 0}', '{"env": [10, 20, 1, 1], "seed": 0}'):
+                   '{"seed": 0}', '{"env": [10, 20, 1, 1], "seed": 0}',
+                   '{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}, "seed": "7"}',
+                   '{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}, "seed": -3}'):
         path.write_text(header + '\n{"id": 0, "t_arr": 1.0, "x": 2.0}\n')
         with pytest.raises(ContractViolationError, match="line 1:"):
             read_stream_jsonl(str(path))
@@ -213,6 +220,20 @@ def test_stream_jsonl_round_trip(tmp_path):
     r = read_stream_jsonl(path)
     assert r.env == s.env and r.seed == s.seed
     assert [(d.id, d.t_arr, d.x) for d in r] == [(d.id, d.t_arr, d.x) for d in s]
+
+
+def test_read_stream_checks_the_header_count(tmp_path):
+    s = generate_stream(make_env(W=10, L=20, v=0.5, lam=2.0), 5, seed=9)
+    path = tmp_path / "stream.jsonl"
+    write_stream_jsonl(s, str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3]) + "\n")      # the header and 2 of its 5 records
+    with pytest.raises(ContractViolationError, match="n = 5, but 2 records"):
+        read_stream_jsonl(str(path))
+    # a hand-written header without n is taken at its records' count
+    path.write_text('{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}, "seed": 0}\n'
+                    '{"id": 0, "t_arr": 1.0, "x": 2.0}\n')
+    assert len(read_stream_jsonl(str(path))) == 1
 
 
 def test_read_stream_rejects_empty(tmp_path):
