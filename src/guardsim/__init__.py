@@ -19,7 +19,7 @@ from .harness import (CSV_COLUMNS, ESTIMATOR_NOTE, ExperimentSpec, Summary,
                       monte_carlo, sweep, sweep_csv, sweep_svg,
                       write_sweep_csv, write_sweep_svg)
 from .reachability import (PathPlan, ReachGraph, build_reach_graph, graph_to_dict,
-                           longest_chain_fast, longest_path)
+                           longest_chain_fast)
 from .tmhp import (EXACT_SOLVER_CAP, TmhpInstance, TmhpSolution, emhp_exact,
                    emhp_heuristic, g_inv, g_map, intercept_time, run_tf,
                    tmhp_solve)
@@ -35,7 +35,7 @@ __all__ = [
     "erf", "lp_lower_bound", "lp_competitive_factor", "causal_upper_bound",
     "tf_lower_bound", "applicable_bounds",
     "PathPlan", "ReachGraph", "build_reach_graph", "graph_to_dict",
-    "longest_chain_fast", "longest_path",
+    "longest_chain_fast",
     "RunResult", "TraceEvent", "run_nclp", "run_lp", "run_gp",
     "write_trace_jsonl",
     "TmhpInstance", "TmhpSolution", "emhp_exact", "emhp_heuristic", "g_map",

@@ -69,8 +69,8 @@ class VehicleState:
 
 @dataclass
 class DemandStream:
-    """A seeded batch of demands over a fixed environment, with finite
-    arrival times t_arr >= 0 that strictly increase.
+    """A seeded batch of demands over a fixed environment, with unique count
+    ids and finite arrival times t_arr >= 0 that strictly increase.
 
     Treated as immutable once built; no policy writes to a demand, so one
     stream is safe to share across runs.
@@ -81,9 +81,13 @@ class DemandStream:
     demands: list[Demand] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        prev = -math.inf
+        prev, W, maxsize = -math.inf, self.env.W, sys.maxsize   # locals: read per demand
         try:
             for d in self.demands:
+                i = d.id        # is_count, with a fast path for an exact int
+                if not (i.__class__ is int and 0 <= i <= maxsize or is_count(i)):
+                    raise ContractViolationError(
+                        f"demand id {i!r} must be an int in [0, sys.maxsize]")
                 if not prev < d.t_arr <= _FLOAT_MAX:
                     if not abs(d.t_arr) <= _FLOAT_MAX:
                         raise ContractViolationError(
@@ -93,7 +97,7 @@ class DemandStream:
                     )
                 prev = d.t_arr
                 # generated abscissae live in [0, W); hand-built boundary x = W is tolerated
-                if not (0.0 <= d.x <= self.env.W):
+                if not (0.0 <= d.x <= W):
                     raise ContractViolationError(
                         f"demand {d.id}: abscissa {d.x} outside [0, {self.env.W}]"
                     )

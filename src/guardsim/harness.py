@@ -9,18 +9,22 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import count, takewhile
 
 import numpy as np
 
 from . import bounds as _bounds
 from .core import EnvParams, generate_stream, make_env
 from .deadline_policies import run_gp, run_lp, run_nclp
-from .errors import ParameterDomainError, RegimeError, is_count, is_number
+from .errors import ParameterDomainError, RegimeError, SizeLimitError, is_count, is_number
 from .tmhp import run_tf
 
 POLICIES = ("nclp", "lp", "gp", "tf")
 
 ESTIMATOR_NOTE = "mean of per-run capture fractions (runs simulated to quiescence)"
+
+MAX_SWEEP_LAMBDAS = 10_000     # each lambda runs every replicate; far past any real sweep
+_SWEEP_END = 1 + 1e-12         # a grid keeps an end point that overshoots hi by rounding
 
 
 @dataclass(frozen=True)
@@ -64,20 +68,18 @@ class ExperimentSpec:
             lo, hi, step = self.sweep
             if not (lo > 0 and hi >= lo and step > 0):
                 raise ParameterDomainError(f"bad sweep grid {self.sweep!r}")
+            # lambdas() stops past hi * _SWEEP_END; count its points without building it
+            if not lo + step > lo or (hi * _SWEEP_END - lo) / step >= MAX_SWEEP_LAMBDAS:
+                raise SizeLimitError(
+                    f"sweep grid {self.sweep!r} has over {MAX_SWEEP_LAMBDAS} lambdas "
+                    f"or a step too small to advance {lo!r}")
 
     def lambdas(self) -> list[float]:
         if self.sweep is None:
             return [self.env.lam]
         lo, hi, step = self.sweep
-        grid = []
-        k = 0
-        while True:
-            lam = lo + k * step
-            if lam > hi * (1 + 1e-12):
-                break
-            grid.append(lam)
-            k += 1
-        return grid
+        return list(takewhile(lambda lam: lam <= hi * _SWEEP_END,
+                              (lo + k * step for k in count())))
 
 
 @dataclass

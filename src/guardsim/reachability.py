@@ -9,29 +9,13 @@ its longest source-rooted path.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .core import VehicleState
 from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_number
-
-
-@dataclass
-class ReachGraph:
-    """Reachability DAG over a demand set, rooted at a vehicle vertex; made
-    by build_reach_graph."""
-
-    source: VehicleState
-    vertices: list[int]                 # demand ids
-    source_edges: list[int]             # ids directly reachable from the source
-    edges: dict[int, list[int]]         # id -> sorted successor ids
-    topo_order: list[int]               # ids by (t_arr, id); valid topological order
-    # flat arrays in topo order, read by the vectorized DP
-    _ts: np.ndarray = field(repr=False)
-    _xs: np.ndarray = field(repr=False)
-    _ids: np.ndarray = field(repr=False)
-    _dls: np.ndarray = field(repr=False)    # deadlines t_arr + L/v
 
 
 @dataclass
@@ -41,6 +25,19 @@ class PathPlan:
     order: list[int]
     capture_times: list[float]
     length: int
+
+
+@dataclass
+class ReachGraph:
+    """Reachability DAG over a demand set, rooted at a vehicle vertex, with
+    the longest plan through it; made by build_reach_graph."""
+
+    source: VehicleState
+    vertices: list[int]                 # demand ids
+    source_edges: list[int]             # ids directly reachable from the source
+    edges: dict[int, list[int]]         # id -> sorted successor ids
+    topo_order: list[int]               # ids by (t_arr, id); valid topological order
+    plan: PathPlan                      # longest_chain_fast on the same input
 
 
 def _check_regime_and_state(vehicle: VehicleState, demands, v: float, L: float) -> None:
@@ -67,69 +64,30 @@ def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> Rea
     O(n^2); edge (i, j) iff i != j and |x_i - x_j| <= t_j - t_i, an exact
     duplicate (t, x) pair only from the smaller id to the larger; source
     edge to i iff the vehicle can reach abscissa x_i by the demand's
-    deadline.
+    deadline.  The plan is the one NCLP and LP follow from this vehicle
+    state: a longest source-rooted path of these edges.
     """
-    _check_regime_and_state(vehicle, demands, v, L)
+    plan = longest_chain_fast(vehicle, demands, v, L)      # checks the input too
     order = sorted(demands, key=lambda d: (d.t_arr, d.id))
-    ids = np.array([d.id for d in order], dtype=np.intp)
+    ids = [d.id for d in order]
     ts = np.array([d.t_arr for d in order])
     xs = np.array([d.x for d in order])
-    dls = ts + L / v
 
-    src_mask = np.abs(vehicle.x - xs) <= dls - vehicle.t
+    src_mask = np.abs(vehicle.x - xs) <= ts + L / v - vehicle.t
     edges: dict[int, list[int]] = {}
-    n = len(order)
-    for k in range(n):
+    for k, i in enumerate(ids):
         # prefix scan: topo order makes every admissible successor sit at
         # index > k (exact duplicates are adjacent and id-ordered)
         ok = np.abs(xs[k + 1:] - xs[k]) <= ts[k + 1:] - ts[k]
-        edges[int(ids[k])] = [int(i) for i in ids[k + 1:][ok]]
+        edges[i] = list(compress(ids[k + 1:], ok.tolist()))
     return ReachGraph(
         source=vehicle,
-        vertices=sorted(int(i) for i in ids),
-        source_edges=[int(i) for i in ids[src_mask]],
+        vertices=sorted(ids),
+        source_edges=list(compress(ids, src_mask.tolist())),
         edges=edges,
-        topo_order=[int(i) for i in ids],
-        _ts=ts, _xs=xs, _ids=ids, _dls=dls,
+        topo_order=ids,
+        plan=plan,
     )
-
-
-def longest_path(graph: ReachGraph) -> PathPlan:
-    """Maximum-cardinality source-rooted path by DP over the topo order.
-
-    A vectorized prefix relaxation whose mask is the edge relation: j
-    follows i iff |x_i - x_j| <= t_j - t_i, and an exact duplicate (t, x)
-    pair only in id order, which the topo order keeps.
-    Ties at each step go to the smallest predecessor id, and among final
-    endpoints to the smallest id, so the plan is deterministic.
-    """
-    ids, ts, xs = graph._ids, graph._ts, graph._xs
-    n = len(ids)
-    # path length ending at k, -1 unreachable; topo index of its predecessor
-    best = np.where(np.isin(ids, graph.source_edges), 1, -1)
-    pred = np.full(n, -1, dtype=np.intp)
-    for k in range(1, n):
-        mask = (np.abs(xs[:k] - xs[k]) <= ts[k] - ts[:k]) & (best[:k] >= 1)
-        if not mask.any():
-            continue
-        cand = best[:k][mask]
-        top = cand.max()
-        if top + 1 > best[k]:
-            winners = np.flatnonzero(mask)[cand == top]
-            pred[k] = winners[np.argmin(ids[winners])]
-            best[k] = top + 1
-
-    if n == 0 or best.max() < 1:
-        return PathPlan(order=[], capture_times=[], length=0)
-    ends = np.flatnonzero(best == best.max())
-    k = int(ends[np.argmin(ids[ends])])
-    rev = []
-    while k >= 0:
-        rev.append(k)
-        k = int(pred[k])
-    rev.reverse()
-    return PathPlan(order=[int(ids[k]) for k in rev],
-                    capture_times=[float(graph._dls[k]) for k in rev], length=len(rev))
 
 
 def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> PathPlan:
@@ -182,8 +140,8 @@ def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> Pa
 
 
 def graph_to_dict(graph: ReachGraph) -> dict:
-    """JSON-friendly dump of a graph plus its longest path (CLI, goldens)."""
-    plan = longest_path(graph)
+    """JSON-friendly dump of a graph plus its plan (CLI, goldens)."""
+    plan = graph.plan
     return {
         "source": {"x": graph.source.x, "y": graph.source.y, "t": graph.source.t},
         "vertices": graph.vertices,

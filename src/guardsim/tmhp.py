@@ -563,8 +563,8 @@ def tmhp_solve(instance: TmhpInstance) -> TmhpSolution:
     """Plan in transformed space, then execute with chained intercepts.
 
     The executed duration must equal emhp_length + v*(y_f - y_s)/(1 - v^2)
-    to 1e-9 for the same visiting order; this identity is checked on every
-    call and a violation raises (it would mean broken kinematics).
+    for the same order to 1e-9 max(1, |duration|) max(1, legs / 1000), as
+    rounding grows with both; a violation raises (broken kinematics).
     """
     v = instance.v                 # checked by TmhpInstance
     ts = _g_map(instance.s, v)
@@ -586,7 +586,7 @@ def tmhp_solve(instance: TmhpInstance) -> TmhpSolution:
     tau += _intercept_time(pos, (x, y + v * tau), v)
 
     drift = v * (instance.f[1] - instance.s[1]) / (1.0 - v * v)
-    if abs(tau - (length + drift)) > 1e-9:
+    if abs(tau - (length + drift)) > 1e-9 * max(1.0, abs(tau)) * max(1.0, (len(order) + 1) / 1000):
         raise ContractViolationError(
             f"duration {tau} deviates from transformed length + drift "
             f"{length + drift}; intercept chain is inconsistent"

@@ -5,8 +5,9 @@ Each oracle recomputes a quantity by a different method than the package
 agreement is evidence rather than tautology.  `lattice_stream` draws the
 small streams the property tests run them on.  The definitions the package
 only needs as checks live here too: demand positions and region counts,
-the reachability predicate and the deadline edge relation, and `tour`,
-the closed tour built from emhp_heuristic.
+the reachability predicate and the deadline edge relation, the graph DP
+`longest_path` that checks the chain planner, and `tour`, the closed tour
+built from emhp_heuristic.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from itertools import permutations
 import numpy as np
 from hypothesis import strategies as st
 
-from guardsim import Demand, DemandStream, ParameterDomainError, emhp_heuristic
+from guardsim import (Demand, DemandStream, ParameterDomainError, PathPlan, build_reach_graph,
+                      emhp_heuristic)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,43 @@ def longest_source_path_enum(source_edges, edges, ids):
     for s in source_edges:
         walk(s, 1)
     return best
+
+
+def longest_path(vehicle, demands, v: float, L: float) -> PathPlan:
+    """Longest source-rooted path of build_reach_graph's DAG, the oracle for
+    longest_chain_fast: a DP over the graph's own source_edges and edges in
+    its topo_order, with no arithmetic on (t, x).
+
+    Each vertex takes its predecessor of greatest length, the smallest id
+    among equal ones; the path ends at the smallest id of greatest length.
+    Capture times are the deadlines t_arr + L/v.
+    """
+    g = build_reach_graph(vehicle, demands, v, L)
+    preds: dict[int, list[int]] = {j: [] for j in g.topo_order}
+    for i, out in g.edges.items():
+        for j in out:
+            preds[j].append(i)
+    src = set(g.source_edges)
+    best: dict[int, int] = {}           # path length ending at the id, 0 unreachable
+    pred: dict[int, int | None] = {}
+    for j in g.topo_order:              # every predecessor of j comes before it
+        reached = [(best[i], -i) for i in preds[j] if best[i] > 0]
+        if reached:
+            top, neg = max(reached)
+            best[j], pred[j] = top + 1, -neg
+        else:
+            best[j], pred[j] = int(j in src), None
+    if not any(best.values()):
+        return PathPlan(order=[], capture_times=[], length=0)
+    k = max(best, key=lambda j: (best[j], -j))
+    order = []
+    while k is not None:
+        order.append(k)
+        k = pred[k]
+    order.reverse()
+    deadline = {d.id: d.t_arr + L / v for d in demands}
+    return PathPlan(order=order, capture_times=[deadline[i] for i in order],
+                    length=len(order))
 
 
 def check_plan(plan, vehicle, demands, v, L, tol=1e-9):

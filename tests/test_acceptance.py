@@ -14,13 +14,11 @@ import pytest
 from guardsim import (
     Demand,
     VehicleState,
-    build_reach_graph,
     causal_upper_bound,
     erf,
     generate_stream,
     intercept_time,
     longest_chain_fast,
-    longest_path,
     lp_lower_bound,
     make_env,
     run_gp,
@@ -39,6 +37,7 @@ from ._oracles import (
     check_trace,
     emhp_brute,
     erf_exact_rational,
+    longest_path,
     longest_source_path_enum,
     region_count,
     tour,
@@ -134,7 +133,7 @@ def test_criterion_05_longest_path_oracle():
         v = float(1.0 + rng.random() * 2.0)
         L = float(4.0 + rng.random() * 30.0)
         veh = VehicleState(float(rng.random() * 8), L, 0.0)
-        plan = longest_path(build_reach_graph(veh, demands, v, L))
+        plan = longest_path(veh, demands, v, L)
         src, edges = brute_reach_edges([(d.id, d.t_arr, d.x) for d in demands],
                                        8.0, L, v, (veh.x, veh.y), 0.0)
         if plan.length != longest_source_path_enum(src, edges,
@@ -157,7 +156,7 @@ def test_criterion_06_fast_chain_equivalence():
         v = float(1.0 + rng.random() * 2.0)
         L = float(30.0 + rng.random() * 200.0)
         veh = VehicleState(float(rng.random() * 40), L, 0.0)
-        a = longest_path(build_reach_graph(veh, demands, v, L)).length
+        a = longest_path(veh, demands, v, L).length
         b = longest_chain_fast(veh, demands, v, L).length
         if a != b:
             bad += 1

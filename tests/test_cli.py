@@ -149,6 +149,16 @@ def test_sweep_subcommand(tmp_path):
     ET.fromstring(svg_path.read_text())
 
 
+def test_sweep_subcommand_refuses_an_unbounded_grid(tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    for lam_max, lam_step in (("1e300", "1"), ("2", "1e-300")):
+        rc = main(["sweep", "--policy", "gp", "--lam-min", "1", "--lam-max", lam_max,
+                   "--lam-step", lam_step, "--csv", str(csv_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: sweep grid ")
+    assert not csv_path.exists()
+
+
 def test_cli_error_paths(capsys):
     rc = main(["bounds", "--v", "-1", "--lam", "1", "--W", "10", "--L", "20"])
     assert rc == 2

@@ -107,6 +107,13 @@ def test_stream_rejects_duplicate_ids():
                               Demand(0, 3.0, 7.0)])
 
 
+@pytest.mark.parametrize("i", ["a", True, -1, 2 ** 63, -2 ** 63 - 1])
+def test_stream_rejects_an_id_that_is_not_a_count(i):
+    env = make_env(W=10, L=20, v=2, lam=1)
+    with pytest.raises(ContractViolationError, match="demand id"):
+        DemandStream(env, 0, [Demand(0, 1.0, 5.0), Demand(i, 2.0, 6.0)])
+
+
 def test_read_stream_rejects_non_finite_arrival(tmp_path):
     path = tmp_path / "nan.jsonl"
     path.write_text('{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}, "seed": 0}\n'

@@ -13,9 +13,7 @@ from guardsim import (
     ParameterDomainError,
     RegimeError,
     VehicleState,
-    build_reach_graph,
     generate_stream,
-    longest_path,
     make_env,
     run_gp,
     run_lp,
@@ -23,7 +21,7 @@ from guardsim import (
     write_trace_jsonl,
 )
 
-from ._oracles import check_trace, lattice_stream
+from ._oracles import check_trace, lattice_stream, longest_path
 
 FAST_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=1.0)
 
@@ -151,8 +149,8 @@ def test_nclp_bounds_lp_and_gp_on_every_stream(data):
         x0 = data.draw(st.floats(0.0, env.W))
     top = run_nclp(s, start_x=x0).n_capt
     # NCLP plans with the chain; the graph DP is the oracle for its length
-    assert top == longest_path(build_reach_graph(VehicleState(x0, env.L, 0.0),
-                                                 s.demands, env.v, env.L)).length
+    assert top == longest_path(VehicleState(x0, env.L, 0.0), s.demands,
+                               env.v, env.L).length
     for eta in (0.5, 1.0):
         assert run_lp(s, start_x=x0, eta=eta).n_capt <= top
     assert run_gp(s, start_x=x0).n_capt <= top

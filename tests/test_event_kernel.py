@@ -37,8 +37,8 @@ DEADLINE_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=0.25)
 STRIP_ENV = make_env(W=100.0, L=25.0, v=0.05, lam=1.6)
 
 # (name, policy run, n_capt, n_esc, SHA-256 of the JSONL trace); NCLP plans
-# with the chain at both sizes (nclp_graph is named for the graph DP that
-# once planned its 250 demands: same length, another path)
+# with the chain at both sizes (nclp_graph is named for a graph DP, now the
+# tests' oracle, that once planned its 250 demands: same length, another path)
 GOLDEN = [
     ("nclp_graph", lambda: run_nclp(generate_stream(DEADLINE_ENV, 250, seed=3), trace=True),
      56, 194,

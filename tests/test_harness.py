@@ -10,6 +10,7 @@ from guardsim import (
     ExperimentSpec,
     ParameterDomainError,
     RegimeError,
+    SizeLimitError,
     applicable_bounds,
     make_env,
     monte_carlo,
@@ -19,6 +20,7 @@ from guardsim import (
     write_sweep_csv,
     write_sweep_svg,
 )
+from guardsim.harness import MAX_SWEEP_LAMBDAS
 
 FAST = make_env(W=120.0, L=500.0, v=2.0, lam=1.0)
 SLOW = make_env(W=10.0, L=20.0, v=0.05, lam=1.0)
@@ -60,6 +62,19 @@ def test_lambda_grid():
     # floating-point endpoint is still included
     spec = ExperimentSpec(policy="gp", env=FAST, sweep=(0.1, 0.3, 0.1))
     assert len(spec.lambdas()) == 3
+    spec = ExperimentSpec(policy="gp", env=FAST, sweep=(0.25, 2.0, 0.25))   # bench/'s grid
+    assert spec.lambdas() == [0.25 * k for k in range(1, 9)]
+    ExperimentSpec(policy="gp", env=FAST, sweep=(1.0, float(MAX_SWEEP_LAMBDAS), 1.0))  # at the bound
+
+
+@pytest.mark.parametrize("grid", [
+    (1.0, 1e300, 1.0), (1.0, 2.0, 1e-300),
+    (1.0, float(MAX_SWEEP_LAMBDAS + 1), 1.0),     # one lambda too many
+    (1.0, 1.0, 1.05e-16),                         # under half an ulp of 1: repeats 1.0
+])
+def test_sweep_grid_is_bounded(grid):
+    with pytest.raises(SizeLimitError):
+        ExperimentSpec(policy="gp", env=FAST, sweep=grid)
 
 
 def test_monte_carlo_single_run_has_zero_spread():

@@ -11,14 +11,15 @@ from guardsim import (
     RegimeError,
     VehicleState,
     build_reach_graph,
+    generate_stream,
     graph_to_dict,
     longest_chain_fast,
-    longest_path,
     make_env,
+    run_nclp,
 )
 
 from ._oracles import (brute_reach_edges, check_plan, deadline_edge, demand_position,
-                       is_reachable, lattice_stream, longest_source_path_enum)
+                       is_reachable, lattice_stream, longest_path, longest_source_path_enum)
 
 
 def _random_instance(rng, n_max=10, W=8.0):
@@ -113,8 +114,7 @@ def test_edge_equivalence_with_reachability_at_capture_instant():
 
 def test_longest_path_chain_of_three():
     demands = [Demand(0, 1.0, 5.0), Demand(1, 2.0, 5.5), Demand(2, 3.0, 6.0)]
-    g = build_reach_graph(VehicleState(5.0, 20.0, 0.0), demands, v=2.0, L=20.0)
-    plan = longest_path(g)
+    plan = longest_path(VehicleState(5.0, 20.0, 0.0), demands, v=2.0, L=20.0)
     assert plan.order == [0, 1, 2] and plan.length == 3
     assert plan.capture_times == [1.0 + 10, 2.0 + 10, 3.0 + 10]
     check_plan(plan, VehicleState(5.0, 20.0, 0.0), demands, 2.0, 20.0)
@@ -122,8 +122,7 @@ def test_longest_path_chain_of_three():
 
 def test_longest_path_mutually_unreachable_pair():
     demands = [Demand(0, 1.0, 0.0), Demand(1, 1.0, 10.0)]
-    g = build_reach_graph(VehicleState(5.0, 20.0, 0.0), demands, v=2.0, L=20.0)
-    plan = longest_path(g)
+    plan = longest_path(VehicleState(5.0, 20.0, 0.0), demands, v=2.0, L=20.0)
     assert plan.length == 1
     assert plan.order == [0]          # id tie-break is deterministic
 
@@ -132,8 +131,7 @@ def test_longest_path_matches_enumeration():
     rng = np.random.default_rng(23)
     for _ in range(200):
         demands, v, L, veh = _random_instance(rng, n_max=8)
-        g = build_reach_graph(veh, demands, v, L)
-        plan = longest_path(g)
+        plan = longest_path(veh, demands, v, L)
         arrivals = [(d.id, d.t_arr, d.x) for d in demands]
         src, edges = brute_reach_edges(arrivals, 8.0, L, v, (veh.x, veh.y), veh.t)
         assert plan.length == longest_source_path_enum(src, edges,
@@ -144,9 +142,7 @@ def test_longest_path_matches_enumeration():
 def test_longest_path_deterministic():
     rng = np.random.default_rng(24)
     demands, v, L, veh = _random_instance(rng, n_max=30)
-    g1 = build_reach_graph(veh, demands, v, L)
-    g2 = build_reach_graph(veh, demands, v, L)
-    assert longest_path(g1).order == longest_path(g2).order
+    assert longest_path(veh, demands, v, L).order == longest_path(veh, demands, v, L).order
 
 
 def test_longest_path_monotone_in_demands():
@@ -155,9 +151,8 @@ def test_longest_path_monotone_in_demands():
         demands, v, L, veh = _random_instance(rng, n_max=20)
         extra = Demand(len(demands), float(rng.random() * 15),
                        float(rng.random() * 8))
-        base = longest_path(build_reach_graph(veh, demands, v, L)).length
-        grown = longest_path(
-            build_reach_graph(veh, demands + [extra], v, L)).length
+        base = longest_path(veh, demands, v, L).length
+        grown = longest_path(veh, demands + [extra], v, L).length
         assert grown >= base
 
 
@@ -174,7 +169,7 @@ def test_chain_equals_graph_dp():
     rng = np.random.default_rng(26)
     for _ in range(120):
         demands, v, L, veh = _random_instance(rng, n_max=40)
-        a = longest_path(build_reach_graph(veh, demands, v, L))
+        a = longest_path(veh, demands, v, L)
         b = longest_chain_fast(veh, demands, v, L)
         assert a.length == b.length
         check_plan(b, veh, demands, v, L)
@@ -197,7 +192,7 @@ def test_chain_equals_graph_dp_from_any_vehicle_state(data):
         demands, v, L, _ = _random_instance(rng, n_max=40)
         veh = VehicleState(float(rng.random() * 8.0), L, float(rng.random() * 15.0))
     demands = [d for d in demands if d.t_arr + L / v > veh.t]
-    a = longest_path(build_reach_graph(veh, demands, v, L))
+    a = longest_path(veh, demands, v, L)
     b = longest_chain_fast(veh, demands, v, L)
     assert a.length == b.length
     check_plan(a, veh, demands, v, L)
@@ -208,7 +203,7 @@ def test_plan_feasibility_invariants():
     rng = np.random.default_rng(27)
     for _ in range(50):
         demands, v, L, veh = _random_instance(rng, n_max=25)
-        plan = longest_path(build_reach_graph(veh, demands, v, L))
+        plan = longest_path(veh, demands, v, L)
         xs = {d.id: d.x for d in demands}
         # strictly increasing capture times, unit-speed feasible hops
         for (i, ti), (j, tj) in zip(
@@ -227,6 +222,33 @@ def test_graph_to_dict_structure():
     assert d["edges"] == {"0": [1], "1": []}
     assert d["longest_path"]["order"] == [0, 1]
     assert d["source"] == {"x": 5.0, "y": 20.0, "t": 0.0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_printed_plan_is_the_plan_nclp_runs(data):
+    # guardsim graph prints the capture order NCLP executes from the same
+    # start, along printed edges, as long as the graph DP's path
+    if data.draw(st.booleans(), label="lattice"):
+        env = make_env(W=5.0, L=0.5 * data.draw(st.integers(1, 10)),
+                       v=data.draw(st.sampled_from([1.0, 2.0])), lam=1.0)
+        s = lattice_stream(data, env, max_size=12)
+        x0 = 0.5 * data.draw(st.integers(0, 10))
+    else:
+        env = make_env(W=40.0, L=100.0, v=data.draw(st.sampled_from([1.0, 1.5, 3.0])),
+                       lam=data.draw(st.sampled_from([0.5, 1.2, 3.0])))
+        s = generate_stream(env, data.draw(st.integers(0, 80)),
+                            seed=data.draw(st.integers(0, 10 ** 6)))
+        x0 = data.draw(st.floats(0.0, env.W))
+    veh = VehicleState(x0, env.L, 0.0)
+    printed = graph_to_dict(build_reach_graph(veh, list(s), env.v, env.L))
+    path = printed["longest_path"]
+    run = run_nclp(s, start_x=x0, trace=True)
+    assert path["order"] == [e.demand_id for e in run.trace if e.event == "capture"]
+    assert not path["order"] or path["order"][0] in printed["source_edges"]
+    for i, j in zip(path["order"], path["order"][1:]):
+        assert j in printed["edges"][str(i)]
+    assert path["length"] == longest_path(veh, list(s), env.v, env.L).length
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf"), "1"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardsim import (
+    ContractViolationError,
     Demand,
     DemandStream,
     ParameterDomainError,
@@ -494,6 +495,24 @@ def test_tmhp_identity_random():
             drift = v * (f[1] - s[1]) / (1.0 - v * v)
             assert abs(sol.duration - (static + drift)) <= 1e-9
             assert abs(sol.emhp_length - static) <= 1e-9
+
+
+def test_tmhp_identity_is_relative_at_large_coordinates():
+    # a point at x = 1e8: the duration's rounding, a few 1e-8, is past an
+    # absolute 1e-9 but about 1e-16 of the duration
+    sol = tmhp_solve(TmhpInstance(s=(0, 5), f=(4, 1), v=0.4,
+                                  points=((1, 2), (1e8, 3), (2, 0.5))))
+    drift = 0.4 * (1 - 5) / (1 - 0.4 * 0.4)
+    assert abs(sol.duration - (sol.emhp_length + drift)) <= 1e-9 * sol.duration
+
+
+@pytest.mark.parametrize("x", [3.0, 1e8])
+def test_tmhp_solve_raises_on_a_corrupted_intercept_chain(monkeypatch, x):
+    exact = tmhp._intercept_time
+    monkeypatch.setattr(tmhp, "_intercept_time", lambda *a: exact(*a) * (1 + 1e-6))
+    inst = TmhpInstance(s=(0, 5), f=(4, 1), v=0.4, points=((1, 2), (x, 3), (2, 0.5)))
+    with pytest.raises(ContractViolationError, match="deviates"):
+        tmhp_solve(inst)
 
 
 def test_tmhp_executed_trajectory_meets_targets():
