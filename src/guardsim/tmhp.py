@@ -46,16 +46,12 @@ def _finite_xy(point, name: str):
     return x, y
 
 
-def _g_map(point, v: float):
-    x, y = point
-    c = 1.0 - v * v
-    return (x / math.sqrt(c), y / c)
-
-
 def g_map(point, v: float):
     """(x, y) -> (x / sqrt(1 - v^2), y / (1 - v^2)); distance-to-time map."""
     _check_speed(v)
-    return _g_map(_finite_xy(point, "point"), v)
+    x, y = _finite_xy(point, "point")
+    c = 1.0 - v * v
+    return (x / math.sqrt(c), y / c)
 
 
 def g_inv(point, v: float):
@@ -74,9 +70,9 @@ def intercept_time(vehicle, target_initial, v: float) -> float:
     exactly; the aim point sits at distance exactly T from the vehicle.
     """
     _check_speed(v)
-    (X, Y), (x, y) = _finite_xy(vehicle, "vehicle"), _finite_xy(target_initial, "target_initial")
-    _check_spread(abs(X - x), abs(Y - y), "intercept_time")
-    return _intercept_time((X, Y), (x, y), v)
+    a, b = _finite_xy(vehicle, "vehicle"), _finite_xy(target_initial, "target_initial")
+    _check_spread(np.array([a, b], dtype=float), "intercept_time")
+    return _intercept_time(a, b, v)
 
 
 def _intercept_time(vehicle, target_initial, v: float) -> float:
@@ -92,18 +88,24 @@ def _intercept_time(vehicle, target_initial, v: float) -> float:
 
 
 def _path_points(s, points, f, caller: str) -> np.ndarray:
-    """s, points and f as the rows of one float array; anything but finite
-    (x, y) pairs raises, and so do points spread so far that the square of
-    two legs' sum, which _local_search takes, could overflow."""
-    P = np.array([_finite_xy(p, caller) for p in [s, *points, f]], dtype=float)
-    lo, hi = P.min(axis=0).tolist(), P.max(axis=0).tolist()
-    _check_spread(hi[0] - lo[0], hi[1] - lo[1], caller)
+    """s, points and f as the rows of one float array; points is read once,
+    and anything but an iterable of finite (x, y) pairs raises, as do points
+    spread too far for _check_spread."""
+    try:
+        rows = [s, *points, f]
+    except TypeError:
+        raise ParameterDomainError(
+            f"{caller}: expected a sequence of (x, y) pairs, got {points!r}") from None
+    P = np.array([_finite_xy(p, caller) for p in rows], dtype=float)
+    _check_spread(P, caller)
     return P
 
 
-def _check_spread(wx, wy, caller: str) -> None:
-    """Raise unless wx^2 + wy^2 <= float max / 8, so that squares of
-    distances, and of sums of two of them, stay finite."""
+def _check_spread(P: np.ndarray, caller: str) -> None:
+    """Raise unless the rows of P span wx by wy, wx^2 + wy^2 <= float max / 8:
+    squares of distances, and of sums of two legs, then stay finite."""
+    (lx, ly), (hx, hy) = P.min(axis=0).tolist(), P.max(axis=0).tolist()
+    wx, wy = hx - lx, hy - ly
     if not wx * wx + wy * wy <= _FLOAT_MAX / 8:
         raise ParameterDomainError(
             f"{caller}: points spread {wx!r} by {wy!r}; need wx^2 + wy^2 <= float max / 8")
@@ -117,13 +119,18 @@ def emhp_exact(s, points, f):
     the same running sum over all permutations.  Ties take the smallest
     point index at each reconstruction step.
     """
-    n = len(points)
-    if n > EXACT_SOLVER_CAP:
+    P = _path_points(s, points, f, "emhp_exact")
+    if len(P) - 2 > EXACT_SOLVER_CAP:
         raise SizeLimitError(
-            f"exact solver capped at {EXACT_SOLVER_CAP} points, got {n}; "
+            f"exact solver capped at {EXACT_SOLVER_CAP} points, got {len(P) - 2}; "
             "use emhp_heuristic"
         )
-    P = _path_points(s, points, f, "emhp_exact")
+    return _held_karp(P)
+
+
+def _held_karp(P: np.ndarray):
+    """emhp_exact's path through the rows of P: s, the points, then f."""
+    n = len(P) - 2
     D = np.array([_dists(x, y, P[:, 0], P[:, 1]) for x, y in P.tolist()])
     if n == 0:
         return [], float(D[0, 1])
@@ -500,8 +507,12 @@ def emhp_heuristic(s, points, f):
     shared by the starts.  Never better than emhp_exact, usually equal for
     small n.
     """
-    n = len(points)
-    P = _path_points(s, points, f, "emhp_heuristic")
+    return _start_and_search(_path_points(s, points, f, "emhp_heuristic"))
+
+
+def _start_and_search(P: np.ndarray):
+    """emhp_heuristic's path through the rows of P: s, the points, then f."""
+    n = len(P) - 2
     if n == 0:
         return [], _fold_length(P)              # s -> f
     X, Y = P[:, 0], P[:, 1]
@@ -566,32 +577,34 @@ def tmhp_solve(instance: TmhpInstance) -> TmhpSolution:
     for the same order to 1e-9 max(1, |duration|) max(1, legs / 1000), as
     rounding grows with both; a violation raises (broken kinematics).
     """
-    v = instance.v                 # checked by TmhpInstance
-    ts = _g_map(instance.s, v)
-    tf_ = _g_map(instance.f, v)
-    tpts = [_g_map(p, v) for p in instance.points]
-    if len(tpts) <= EXACT_SOLVER_CAP:
-        order, length = emhp_exact(ts, tpts, tf_)
-    else:
-        order, length = emhp_heuristic(ts, tpts, tf_)
+    if not isinstance(instance, TmhpInstance):
+        raise ParameterDomainError(f"tmhp_solve: expected a TmhpInstance, got {instance!r}")
+    P = np.array([instance.s, *instance.points, instance.f], dtype=float)
+    order, duration, length = _plan(P, instance.v)
+    return TmhpSolution(order=tuple(order), duration=duration, emhp_length=length)
 
-    pos = tuple(instance.s)
-    tau = 0.0
-    for idx in order:
-        x, y = instance.points[idx]
-        T = _intercept_time(pos, (x, y + v * tau), v)
-        tau += T
+
+def _plan(P: np.ndarray, v: float):
+    """tmhp_solve's (order, duration, emhp_length) on checked input: the
+    rows of P are the finite coordinates of s, the points, then f, and
+    0 < v < 1."""
+    c = 1.0 - v * v
+    with np.errstate(over="ignore"):     # a row mapped to inf fails the spread check
+        G = P / (math.sqrt(c), c)        # g_map of every row, bit for bit
+    _check_spread(G, "tmhp_solve")
+    order, length = (_held_karp if len(P) - 2 <= EXACT_SOLVER_CAP else _start_and_search)(G)
+    rows = P.tolist()
+    pos, tau = rows[0], 0.0
+    for x, y in [rows[k + 1] for k in order] + rows[-1:]:
+        tau += _intercept_time(pos, (x, y + v * tau), v)
         pos = (x, y + v * tau)
-    x, y = instance.f
-    tau += _intercept_time(pos, (x, y + v * tau), v)
-
-    drift = v * (instance.f[1] - instance.s[1]) / (1.0 - v * v)
+    drift = v * (rows[-1][1] - rows[0][1]) / c
     if abs(tau - (length + drift)) > 1e-9 * max(1.0, abs(tau)) * max(1.0, (len(order) + 1) / 1000):
         raise ContractViolationError(
             f"duration {tau} deviates from transformed length + drift "
             f"{length + drift}; intercept chain is inconsistent"
         )
-    return TmhpSolution(order=tuple(order), duration=tau, emhp_length=length)
+    return order, tau, length
 
 
 # ---------------------------------------------------------------------------
@@ -621,17 +634,11 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
             continue
 
         ready.sort(key=lambda d: (v * (t - d.t_arr), d.id))
-        finish = ready[0]
-        others = ready[1:]
-        inst = TmhpInstance(
-            s=pos,
-            points=tuple((d.x, v * (t - d.t_arr)) for d in others),
-            f=(finish.x, v * (t - finish.t_arr)),
-            v=v,
-        )
-        sol = tmhp_solve(inst)
+        finish, others = ready[0], ready[1:]
+        P = np.array([pos] + [(d.x, v * (t - d.t_arr)) for d in others + [finish]], dtype=float)
+        order, _, _ = _plan(P, v)
         sim.recompute(t, pos[0])
-        targets = [others[k] for k in sol.order] + [finish]
+        targets = [others[k] for k in order] + [finish]
         t_stop = t + L / (2.0 * v)
 
         for d in targets:

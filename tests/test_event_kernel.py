@@ -349,3 +349,25 @@ def test_one_stream_is_safe_to_share_across_policies():
     second = [[e.to_dict() for e in run().trace] for run in runs]
     assert first == second
     assert [(d.id, d.t_arr, d.x) for d in deadline] == before
+
+
+def _relabelled(stream: DemandStream) -> DemandStream:
+    return DemandStream(stream.env, stream.seed,
+                        [Demand(3 * d.id + 5, d.t_arr, d.x) for d in stream])
+
+
+@pytest.mark.parametrize("run, env, n", [
+    (run_nclp, DEADLINE_ENV, 250), (run_lp, DEADLINE_ENV, 250), (run_gp, DEADLINE_ENV, 250),
+    (run_tf, STRIP_ENV, 300),                                  # plans of up to about 260 points
+    (run_tf, make_env(W=100.0, L=200.0, v=0.05, lam=0.12), 300),   # plans past 13 points
+], ids=["nclp", "lp", "gp", "tf_dense", "tf_light"])
+def test_relabelled_ids_give_the_same_trace(run, env, n):
+    # ids only break ties, in their order, so a monotone map of the ids
+    # maps the trace's ids and leaves every event, time and position alone
+    for seed in range(3):
+        stream = generate_stream(env, n, seed=seed)
+        res, mapped = run(stream, trace=True), run(_relabelled(stream), trace=True)
+        assert (mapped.n_capt, mapped.n_esc) == (res.n_capt, res.n_esc)
+        expect = [(e.t, e.event, None if e.demand_id is None else 3 * e.demand_id + 5,
+                   e.vehicle_x) for e in res.trace]
+        assert [(e.t, e.event, e.demand_id, e.vehicle_x) for e in mapped.trace] == expect

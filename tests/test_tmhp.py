@@ -106,8 +106,9 @@ def test_path_solvers_reject_bad_coordinates(bad):
     for solver, n in ((emhp_exact, 5), (emhp_heuristic, 5), (emhp_heuristic, 20),
                       (emhp_heuristic, 80)):
         match = f"^{solver.__name__}: "
+        # bad as s, as one of the points, as f, and as the whole point list
         for args in ((bad, pts[:n], (1.0, 1.0)), ((0.0, 0.0), pts[:n] + [bad], (1.0, 1.0)),
-                     ((0.0, 0.0), pts[:n], bad)):
+                     ((0.0, 0.0), pts[:n], bad), ((0.0, 0.0), bad, (1.0, 1.0))):
             with pytest.raises(ParameterDomainError, match=match):
                 solver(*args)
     # s, points and f all of one wrong arity
@@ -469,6 +470,18 @@ def test_tmhp_instance_reads_a_generator_once():
     assert tmhp_solve(gen).order == (0, 1)
 
 
+def test_path_solvers_read_a_generator_once():
+    pts = [(float(i), float(i % 7)) for i in range(20)]
+    for solver, n in ((emhp_exact, 5), (emhp_heuristic, 5), (emhp_heuristic, 20)):
+        assert solver((0, 0), (p for p in pts[:n]), (3, 3)) == solver((0, 0), pts[:n], (3, 3))
+
+
+@pytest.mark.parametrize("bad", ["x", None, {"s": (0, 0), "points": (), "f": (1, 1), "v": 0.5}])
+def test_tmhp_solve_rejects_what_is_not_an_instance(bad):
+    with pytest.raises(ParameterDomainError, match="^tmhp_solve: "):
+        tmhp_solve(bad)
+
+
 def test_heuristics_reject_non_finite_points():
     pts = [(float(i), float(i % 7)) for i in range(80)]
     for bad in ((math.nan, 1.0), (2.0, math.inf)):
@@ -513,6 +526,9 @@ def test_tmhp_solve_raises_on_a_corrupted_intercept_chain(monkeypatch, x):
     inst = TmhpInstance(s=(0, 5), f=(4, 1), v=0.4, points=((1, 2), (x, 3), (2, 0.5)))
     with pytest.raises(ContractViolationError, match="deviates"):
         tmhp_solve(inst)
+    # run_tf plans through the same check
+    with pytest.raises(ContractViolationError, match="deviates"):
+        run_tf(generate_stream(make_env(W=10.0, L=20.0, v=0.4, lam=0.8), 60, seed=0))
 
 
 def test_tmhp_executed_trajectory_meets_targets():
@@ -586,6 +602,22 @@ def test_run_tf_easy_regime_captures_nearly_all():
         s = generate_stream(env, 300, seed=seed)
         fracs.append(run_tf(s).capture_fraction)
     assert np.mean(fracs) >= 0.95
+
+
+@pytest.mark.parametrize("env, n, seed, n_capt, n_esc", [
+    (make_env(W=100.0, L=25.0, v=0.05, lam=1.6), 300, 0, 230, 70),    # plans up to 232 points
+    (make_env(W=100.0, L=200.0, v=0.05, lam=0.12), 300, 1, 300, 0),   # up to 29 points
+    (make_env(W=10.0, L=20.0, v=0.4, lam=0.8), 60, 0, 51, 9),
+])
+def test_run_tf_plans_without_a_per_point_check(monkeypatch, env, n, seed, n_capt, n_esc):
+    # the stream checked every coordinate already; the counts are those of
+    # the runs that still checked each point of each plan
+    def refuse(point, name):
+        raise AssertionError(f"run_tf checked {name} {point!r} again")
+
+    monkeypatch.setattr(tmhp, "_finite_xy", refuse)
+    res = run_tf(generate_stream(env, n, seed=seed))
+    assert (res.n_capt, res.n_esc) == (n_capt, n_esc)
 
 
 def test_run_tf_custom_start():
