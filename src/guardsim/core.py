@@ -81,9 +81,18 @@ class DemandStream:
     demands: list[Demand] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.env, EnvParams):
+            raise ContractViolationError(f"env must be an EnvParams, got {self.env!r}")
+        if not isinstance(self.demands, list):
+            if isinstance(self.demands, (str, bytes)) or not hasattr(self.demands, "__iter__"):
+                raise ContractViolationError(
+                    f"demands must be an iterable of Demand records, got {self.demands!r}")
+            self.demands = list(self.demands)      # an iterable is read once, here
         prev, W, maxsize = -math.inf, self.env.W, sys.maxsize   # locals: read per demand
         try:
             for d in self.demands:
+                if not isinstance(d, Demand):
+                    raise ContractViolationError(f"demand record {d!r} is not a Demand")
                 i = d.id        # is_count, with a fast path for an exact int
                 if not (i.__class__ is int and 0 <= i <= maxsize or is_count(i)):
                     raise ContractViolationError(
@@ -137,13 +146,21 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
             f"n_demands must be at most sys.maxsize // 8 = {sys.maxsize // 8}, got {n_demands!r}")
     if not is_count(seed):
         raise ParameterDomainError(f"seed must be a non-negative int, got {seed!r}")
+    stream = DemandStream(env=env, seed=seed)     # checks env
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(n_demands)          # in (0, 1], keeps -ln(U) finite
     gaps = -np.log(u) / env.lam
     t_arr = np.cumsum(gaps)
     xs = env.W * rng.random(n_demands)       # in [0, W)
     demands = list(map(Demand, range(n_demands), t_arr.tolist(), xs.tolist()))
-    return DemandStream(env=env, seed=seed, demands=demands)
+    # ids 0..n-1 and abscissae in [0, W) hold by construction; the arrivals
+    # are checked as one array, and only a bad one goes through the
+    # per-demand check, which raises naming the first bad demand
+    if n_demands and not (t_arr[0] >= 0.0 and np.isfinite(t_arr).all()
+                          and (t_arr[1:] > t_arr[:-1]).all()):
+        return DemandStream(env=env, seed=seed, demands=demands)
+    stream.demands = demands
+    return stream
 
 
 # --- JSON files -----------------------------------------------------------

@@ -11,7 +11,7 @@ of `tmhp`; its docstring gives the order of simultaneous events.
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import Demand, DemandStream, VehicleState, write_jsonl
@@ -69,10 +69,17 @@ class _EventKernel:
     The kernel reads the stream's demands and never writes to them.  It
     admits their arrivals and fires their escapes in time order while the
     policy moves the vehicle along motion legs and captures.  It alone owns
-    a demand's state: the pending arrivals, the outstanding demands (kept
-    in arrival order, on which GP's scan relies), the escape queue (each
-    demand escapes L/v after it arrives, so in arrival order too), the
-    current leg, the counters and the trace.
+    a demand's state: the outstanding demands (kept in arrival order, on
+    which GP's scan relies), two cursors into the stream, the current leg,
+    the counters and the trace.  Arrivals increase strictly, and each
+    demand escapes L/v after it arrives, so escapes come in arrival order
+    too: `arrived` counts the demands admitted so far, and a second cursor
+    counts those whose escape instant has passed.  Each `advance` finds the
+    window of arrivals and the window of escapes it crosses by bisection
+    over the arrival instants and the escape instants t_arr + L/v, which
+    are computed once per run (one stream may serve several environments).
+    Traced and untraced runs change the state alike; a kept trace only
+    adds the window's events, merged in the order below.
 
     A leg is (t0, x_from, x_to, dur).  On the deadline (v >= 1) the vehicle
     slides at unit speed, x = x_from +- (t - t0), and waits at x_to from
@@ -101,11 +108,13 @@ class _EventKernel:
         self.strip = strip
         self.start = _check_start(env, start, strip)
         self.demands = stream.demands
-        self.pending = deque(self.demands)            # arrivals in time order
+        self.l_v = l_v = env.L / env.v
+        self._t_arr = [d.t_arr for d in self.demands]
+        self._t_esc = [t + l_v for t in self._t_arr]
+        self.arrived = 0              # demands[arrived] arrives next
+        self._passed = 0              # demands[:_passed] are past their escape instant
         self.outstanding: dict[int, Demand] = {}
         self.protected: set[int] = set()
-        self.escapes: deque[Demand] = deque()
-        self.l_v = env.L / env.v
         self.events: list[TraceEvent] | None = [] if trace else None
         self.n_capt = 0
         self.n_esc = 0
@@ -125,30 +134,40 @@ class _EventKernel:
     def advance(self, t_end: float, inclusive_arrivals: bool) -> None:
         """Fire escapes through t_end and arrivals before it (through it if
         inclusive_arrivals), in time order."""
-        escapes, pending, outstanding = self.escapes, self.pending, self.outstanding
-        protected, events, l_v = self.protected, self.events, self.l_v
-        while True:
-            while escapes:
-                e = escapes[0]
-                if e.id not in protected and e.id in outstanding:
-                    break
-                escapes.popleft()
-            t_e = e.t_arr + l_v if escapes else math.inf
-            t_a = pending[0].t_arr if pending else math.inf
-            if escapes and t_e <= t_end and t_e <= t_a:
-                escapes.popleft()
-                del outstanding[e.id]
-                self.n_esc += 1
-                if events is not None:
-                    events.append(TraceEvent(t_e, "escape", e.id, self._x_at(t_e)))
-            elif t_a < t_e and (t_a <= t_end if inclusive_arrivals else t_a < t_end):
-                d = pending.popleft()
+        a0, p0 = self.arrived, self._passed
+        a1 = (bisect_right if inclusive_arrivals else bisect_left)(self._t_arr, t_end, a0)
+        p1 = bisect_right(self._t_esc, t_end, p0, a1)       # only admitted demands escape
+        demands, outstanding = self.demands, self.outstanding
+        if a1 > a0:
+            self.arrived = a1
+            for d in demands[a0:a1]:
                 outstanding[d.id] = d
-                escapes.append(d)
-                if events is not None:
-                    events.append(TraceEvent(t_a, "arrival", d.id, self._x_at(t_a)))
-            else:
-                return
+        fired = []
+        if p1 > p0:
+            self._passed = p1
+            protected = self.protected
+            for d in demands[p0:p1]:
+                if d.id in outstanding and d.id not in protected:
+                    del outstanding[d.id]
+                    fired.append(d)
+            self.n_esc += len(fired)
+        if self.events is not None:
+            self._log(a0, a1, fired)
+
+    def _log(self, a0: int, a1: int, fired: list[Demand]) -> None:
+        """Trace the arrivals of demands[a0:a1] and the escapes of fired, in
+        time order: an escape before an arrival at one instant, but never
+        before its own demand's arrival."""
+        demands, t_arr, l_v = self.demands, self._t_arr, self.l_v
+        events, x_at, a = self.events, self._x_at, a0
+        for d in fired:
+            t_e = d.t_arr + l_v
+            while a < a1 and (t_arr[a] < t_e or demands[a] is d):
+                events.append(TraceEvent(t_arr[a], "arrival", demands[a].id, x_at(t_arr[a])))
+                a += 1
+            events.append(TraceEvent(t_e, "escape", d.id, x_at(t_e)))
+        for a in range(a, a1):
+            events.append(TraceEvent(t_arr[a], "arrival", demands[a].id, x_at(t_arr[a])))
 
     def capture(self, d: Demand, t: float) -> None:
         """Capture outstanding d at t; the vehicle is then at d.x."""
@@ -196,7 +215,7 @@ def _execute(sim: _EventKernel, commit: list[Demand], t: float, x: float):
     to its abscissa and wait.  Returns the vehicle's (t, x) afterwards."""
     sim.protected.update(d.id for d in commit)
     for d in commit:
-        t_cap = d.escape_time(sim.env)
+        t_cap = d.t_arr + sim.l_v
         sim.leg = (t, x, d.x, abs(d.x - x))
         sim.advance(t_cap, False)
         sim.capture(d, t_cap)
@@ -215,14 +234,14 @@ def _run(sim: _EventKernel, planner) -> RunResult:
     while True:
         commit = planner(t, x)
         sim.recompute(t, x)
-        waiting = len(sim.pending)
+        waiting = sim.arrived
         sim.advance(t, True)
         if commit:
             t, x = _execute(sim, commit, t, x)
-        elif len(sim.pending) == waiting:     # nothing new: idle or done
-            if not sim.pending:
+        elif sim.arrived == waiting:          # nothing new: idle or done
+            if sim.arrived == len(sim.demands):
                 return sim.finish()
-            t = sim.pending[0].t_arr
+            t = sim.demands[sim.arrived].t_arr
             sim.advance(t, True)
 
 

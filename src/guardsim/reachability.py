@@ -40,7 +40,7 @@ class ReachGraph:
     plan: PathPlan                      # longest_chain_fast on the same input
 
 
-def _check_regime_and_state(vehicle: VehicleState, demands, v: float, L: float) -> None:
+def _check_regime_and_state(vehicle: VehicleState, v: float, L: float) -> None:
     if v < 1.0:
         raise RegimeError(f"deadline reachability needs v >= 1, got v={v}")
     if not is_number(vehicle.x):
@@ -51,11 +51,6 @@ def _check_regime_and_state(vehicle: VehicleState, demands, v: float, L: float) 
         raise ContractViolationError(
             f"vehicle must sit on the deadline y={L}, got y={vehicle.y}"
         )
-    for d in demands:
-        if d.t_arr + L / v <= vehicle.t:
-            raise ContractViolationError(
-                f"demand {d.id} already escaped at t={vehicle.t}"
-            )
 
 
 def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> ReachGraph:
@@ -100,14 +95,18 @@ def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> Pa
     taking the longest coordinate-wise nondecreasing chain gives exactly the
     longest-path length.
     """
-    _check_regime_and_state(vehicle, demands, v, L)
-    t0v = vehicle.t - L / v
+    _check_regime_and_state(vehicle, v, L)
+    l_v, t_now = L / v, vehicle.t
+    t0v = t_now - l_v
     u_s = t0v - vehicle.x
     w_s = t0v + vehicle.x
     items = []
-    for d in demands:
-        u = d.t_arr - d.x
-        w = d.t_arr + d.x
+    for d in demands:       # one pass: refuse an escaped demand, keep the reachable ones
+        t, x = d.t_arr, d.x
+        if t + l_v <= t_now:
+            raise ContractViolationError(f"demand {d.id} already escaped at t={t_now}")
+        u = t - x
+        w = t + x
         if u >= u_s and w >= w_s:
             items.append((u, w, d.id, d))
     items.sort()                    # ids are unique: no Demand is compared
@@ -135,7 +134,7 @@ def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> Pa
         k = prev[k]
     chain.reverse()
     order = [items[k][2] for k in chain]
-    times = [items[k][3].t_arr + L / v for k in chain]
+    times = [items[k][3].t_arr + l_v for k in chain]
     return PathPlan(order=order, capture_times=times, length=len(order))
 
 

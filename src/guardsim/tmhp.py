@@ -627,9 +627,9 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
         ready = [d for d in sim.outstanding.values() if v * (t - d.t_arr) <= L / 2.0]
         if not ready:
             sim.leg = (t, pos[0], pos[0], 0.0)
-            if not sim.pending:
+            if sim.arrived == len(sim.demands):
                 return sim.finish()     # anything left can only escape
-            t = sim.pending[0].t_arr
+            t = sim.demands[sim.arrived].t_arr
             sim.advance(t, True)
             continue
 

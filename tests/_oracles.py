@@ -6,8 +6,9 @@ agreement is evidence rather than tautology.  `lattice_stream` draws the
 small streams the property tests run them on.  The definitions the package
 only needs as checks live here too: demand positions and region counts,
 the reachability predicate and the deadline edge relation, the graph DP
-`longest_path` that checks the chain planner, and `tour`, the closed tour
-built from emhp_heuristic.
+`longest_path` that checks the chain planner, `tour`, the closed tour
+built from emhp_heuristic, and `ReferenceKernel`, a naive event kernel that
+the policies can run on in place of `_EventKernel`.
 """
 from __future__ import annotations
 
@@ -18,8 +19,10 @@ from itertools import permutations
 import numpy as np
 from hypothesis import strategies as st
 
-from guardsim import (Demand, DemandStream, ParameterDomainError, PathPlan, build_reach_graph,
+from guardsim import (ContractViolationError, Demand, DemandStream, ParameterDomainError,
+                      PathPlan, RegimeError, RunResult, TraceEvent, build_reach_graph,
                       emhp_heuristic)
+from guardsim.deadline_policies import _check_start
 
 
 # ---------------------------------------------------------------------------
@@ -573,3 +576,99 @@ def check_trace(events, env, stream, start, tol=1e-9):
                 last_escaped = rank[i]
         last_t = t
     return resolved
+
+
+# ---------------------------------------------------------------------------
+# event kernel
+
+
+class ReferenceKernel:
+    """The event kernel as the `_EventKernel` docstring defines it, naively.
+
+    It has the interface the policies use (`env`, `start`, `demands`, `l_v`,
+    `arrived`, `outstanding`, `protected`, `leg`, `advance`, `capture`,
+    `recompute`, `finish`), keeps one state per demand and finds each next
+    event in `advance` by scanning every demand, O(n) per event.  An event
+    is the earliest of: the escape, at t_arr + L/v, of an outstanding
+    demand that is not protected, and the arrival of a demand not yet
+    arrived.  At one instant an escape comes first, and escapes go in
+    arrival order.  Positions come from the two documented leg formulas.
+    """
+
+    def __init__(self, stream, start, trace, strip=False):
+        env = stream.env
+        if (env.v < 1.0) != strip:
+            raise RegimeError(f"v={env.v} does not fit strip={strip}")
+        self.env, self.strip, self.demands = env, strip, stream.demands
+        self.start = _check_start(env, start, strip)
+        self.l_v = env.L / env.v
+        self.state = {d.id: "pending" for d in self.demands}
+        self.outstanding = {}       # admitted in time order, so in arrival order
+        self.protected = set()
+        self.events = [] if trace else None
+        self.n_capt = self.n_esc = 0
+        self.leg = (0.0, self.start[0], self.start[0], 0.0)
+
+    @property
+    def arrived(self) -> int:
+        return sum(self.state[d.id] != "pending" for d in self.demands)
+
+    def _x_at(self, t):
+        t0, x_from, x_to, dur = self.leg
+        if self.strip:      # a straight segment crossed in dur
+            frac_dur = min(max(t - t0, 0.0), dur)
+            return x_from if dur <= 0.0 else x_from + frac_dur / dur * (x_to - x_from)
+        if t >= t0 + dur:   # waiting at x_to
+            return x_to
+        return x_from + (t - t0) if x_to >= x_from else x_from - (t - t0)
+
+    def advance(self, t_end, inclusive_arrivals):
+        while True:
+            best = None         # (time, 0 for an escape and 1 for an arrival, rank, demand)
+            for rank, d in enumerate(self.demands):
+                state = self.state[d.id]
+                if state == "outstanding" and d.id not in self.protected:
+                    key = (d.t_arr + self.l_v, 0, rank, d)
+                    if key[0] > t_end:
+                        continue
+                elif state == "pending":
+                    key = (d.t_arr, 1, rank, d)
+                    if key[0] > t_end or (key[0] == t_end and not inclusive_arrivals):
+                        continue
+                else:
+                    continue
+                if best is None or key[:3] < best[:3]:
+                    best = key
+            if best is None:
+                return
+            t, kind, _, d = best
+            if kind == 0:
+                self.state[d.id] = "escaped"
+                del self.outstanding[d.id]
+                self.n_esc += 1
+            else:
+                self.state[d.id] = "outstanding"
+                self.outstanding[d.id] = d
+            if self.events is not None:
+                self.events.append(TraceEvent(t, ("escape", "arrival")[kind], d.id,
+                                              self._x_at(t)))
+
+    def capture(self, d, t):
+        if self.state.get(d.id) != "outstanding":
+            raise ContractViolationError(f"demand {d.id} is not outstanding at t={t}")
+        self.state[d.id] = "captured"
+        del self.outstanding[d.id]
+        self.protected.discard(d.id)
+        self.n_capt += 1
+        if self.events is not None:
+            self.events.append(TraceEvent(t, "capture", d.id, d.x))
+
+    def recompute(self, t, x):
+        if self.events is not None:
+            self.events.append(TraceEvent(t, "recompute", None, x))
+
+    def finish(self):
+        self.advance(math.inf, True)
+        assert self.n_capt + self.n_esc == len(self.demands)
+        assert set(self.state.values()) <= {"captured", "escaped"}
+        return RunResult(self.n_capt, self.n_esc, trace=self.events)

@@ -114,6 +114,54 @@ def test_stream_rejects_an_id_that_is_not_a_count(i):
         DemandStream(env, 0, [Demand(0, 1.0, 5.0), Demand(i, 2.0, 6.0)])
 
 
+@pytest.mark.parametrize("demands, match", [
+    (None, "iterable of Demand"),
+    (5, "iterable of Demand"),
+    ("0 1.0 5.0", "iterable of Demand"),
+    ([Demand(0, 1.0, 5.0), (1, 2.0, 6.0)], r"record \(1, 2.0, 6.0\) is not a Demand"),
+], ids=["None", "int", "str", "tuple-record"])
+def test_stream_rejects_demands_that_are_not_demand_records(demands, match):
+    env = make_env(W=10, L=20, v=2, lam=1)
+    with pytest.raises(ContractViolationError, match=match):
+        DemandStream(env, 0, demands)
+
+
+@pytest.mark.parametrize("env", [None, (10.0, 20.0, 2.0, 1.0), {"W": 10.0}], ids=repr)
+def test_stream_and_generator_reject_an_env_that_is_not_env_params(env):
+    with pytest.raises(ContractViolationError, match="env must be an EnvParams"):
+        DemandStream(env, 0, [Demand(0, 1.0, 5.0)])
+    with pytest.raises(ContractViolationError, match="env must be an EnvParams"):
+        generate_stream(env, 10, 0)
+
+
+def test_stream_reads_an_iterable_of_demands_once():
+    # a generator becomes a list, which the event kernel slices
+    env = make_env(W=10, L=20, v=2, lam=1)
+    s = DemandStream(env, 0, (Demand(i, 1.0 + i, 5.0) for i in range(3)))
+    assert isinstance(s.demands, list) and [d.id for d in s] == [0, 1, 2]
+    assert run_gp(s).n_resolved == 3
+
+
+def test_generated_arrivals_are_checked_as_an_array(monkeypatch):
+    # an rng draw of 0 makes a zero gap; the array check refuses it with the
+    # per-demand check's error, naming the first bad demand
+    env = make_env(W=10, L=20, v=2, lam=1)
+
+    class Draws:
+        def random(self, n):
+            return np.array([0.5, 0.25, 0.0, 0.0][:n]) if n else np.zeros(0)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+    with pytest.raises(ContractViolationError) as exc:
+        generate_stream(env, 4, 0)
+    assert str(exc.value) == "demand 2: arrival times must be strictly increasing"
+    monkeypatch.undo()
+    with np.errstate(over="ignore"):     # gaps of -ln(U) / 5e-324 overflow to inf
+        with pytest.raises(ContractViolationError,
+                           match="^demand 0: arrival time inf is not finite$"):
+            generate_stream(make_env(W=10, L=20, v=2, lam=5e-324), 4, 0)
+
+
 def test_read_stream_rejects_non_finite_arrival(tmp_path):
     path = tmp_path / "nan.jsonl"
     path.write_text('{"env": {"W": 10, "L": 20, "v": 1, "lam": 1}, "seed": 0}\n'

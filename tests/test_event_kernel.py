@@ -7,7 +7,10 @@ They pin this platform's floats (IEEE 754 doubles, numpy's planners).
 
 The hand traces pin the order of simultaneous events in each regime, and a
 property test runs all four policies over streams on a 0.5 lattice, where
-events often coincide.
+events often coincide.  Property tests run every policy on `_EventKernel`
+and on `_oracles.ReferenceKernel`, which applies the documented rules by
+brute force, and require the same trace; others scale a stream by a power
+of two and require the same trace, scaled.
 """
 import hashlib
 import math
@@ -29,9 +32,10 @@ from guardsim import (
     run_tf,
     write_trace_jsonl,
 )
+from guardsim import deadline_policies, tmhp
 from guardsim.deadline_policies import _EventKernel
 
-from ._oracles import check_trace, gp_choice, lattice_stream
+from ._oracles import ReferenceKernel, check_trace, gp_choice, lattice_stream
 
 DEADLINE_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=0.25)
 STRIP_ENV = make_env(W=100.0, L=25.0, v=0.05, lam=1.6)
@@ -222,21 +226,32 @@ def test_lattice_streams_conserve_and_pass_the_audit(policy, data):
     assert sum(e.event == "capture" for e in res.trace) == res.n_capt
 
 
+def _shuffled_ids(data, stream):
+    ids = data.draw(st.permutations(range(len(stream))))
+    return DemandStream(stream.env, stream.seed,
+                        [Demand(i, d.t_arr, d.x) for i, d in zip(ids, stream)])
+
+
+def _escape_tie_stream(data):
+    # arrivals 1 + k 2**-40 (or 2 + k 2**-40) with k < 128 lie within half
+    # an ulp of 2**20 + 1, so they all reach the deadline at T_TIE (or
+    # T_TIE + 1); ids are shuffled, so the id order differs from the
+    # arrival order
+    ks = sorted(data.draw(st.sets(st.integers(0, 255), min_size=1, max_size=8)))
+    ts = [1.0 + (k // 128) + (k % 128) * 2.0 ** -40 for k in ks]
+    xs = data.draw(st.lists(st.integers(0, 20), min_size=len(ks), max_size=len(ks)))
+    stream = _shuffled_ids(data, DemandStream(ESCAPE_TIE_ENV, 0, [
+        Demand(j, t, 0.5 * x) for j, (t, x) in enumerate(zip(ts, xs))]))
+    assert {d.escape_time(ESCAPE_TIE_ENV) for d in stream} <= {T_TIE, T_TIE + 1.0}
+    return stream
+
+
 @pytest.mark.parametrize("policy", ["nclp", "lp", "gp"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_escape_ties_fire_in_arrival_order(policy, data):
-    # arrivals 1 + k 2**-40 (or 2 + k 2**-40) with k < 128 lie within half
-    # an ulp of 2**20 + 1, so they all reach the deadline at T_TIE (or
-    # T_TIE + 1); ids are shuffled, so the id order differs from the
-    # arrival order, which the audit checks escapes against
-    ks = sorted(data.draw(st.sets(st.integers(0, 255), min_size=1, max_size=8)))
-    ts = [1.0 + (k // 128) + (k % 128) * 2.0 ** -40 for k in ks]
-    xs = data.draw(st.lists(st.integers(0, 20), min_size=len(ks), max_size=len(ks)))
-    ids = data.draw(st.permutations(range(len(ks))))
-    stream = DemandStream(ESCAPE_TIE_ENV, 0, [Demand(i, t, 0.5 * x)
-                                              for i, t, x in zip(ids, ts, xs)])
-    assert {d.escape_time(ESCAPE_TIE_ENV) for d in stream} <= {T_TIE, T_TIE + 1.0}
+    # the audit checks escapes against the arrival order
+    stream = _escape_tie_stream(data)
     x0 = 0.5 * data.draw(st.integers(0, 20))
     res = LATTICE_RUNS[policy](stream, x0, data.draw(st.sampled_from([0.5, 1.0])))
     resolved = check_trace([e.to_dict() for e in res.trace], ESCAPE_TIE_ENV, stream,
@@ -253,9 +268,7 @@ def test_gp_chases_the_oracle_choice(data):
     # from the arrival order
     v, L = data.draw(st.sampled_from(FAST_VL))
     env = make_env(W=5.0, L=L, v=v, lam=1.0)
-    stream = lattice_stream(data, env, max_size=12)
-    ids = data.draw(st.permutations(range(len(stream))))
-    stream = DemandStream(env, 0, [Demand(i, d.t_arr, d.x) for i, d in zip(ids, stream)])
+    stream = _shuffled_ids(data, lattice_stream(data, env, max_size=12))
     x0 = 0.5 * data.draw(st.integers(0, 10))
     trace = run_gp(stream, start_x=x0, trace=True).trace
     check_trace([e.to_dict() for e in trace], env, stream, start=(x0,))
@@ -371,3 +384,84 @@ def test_relabelled_ids_give_the_same_trace(run, env, n):
         expect = [(e.t, e.event, None if e.demand_id is None else 3 * e.demand_id + 5,
                    e.vehicle_x) for e in res.trace]
         assert [(e.t, e.event, e.demand_id, e.vehicle_x) for e in mapped.trace] == expect
+
+
+def _on_both_kernels(run):
+    """run() on _EventKernel and on the reference kernel: (kernel, reference)."""
+    res = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deadline_policies, "_EventKernel", ReferenceKernel)
+        mp.setattr(tmhp, "_EventKernel", ReferenceKernel)
+        ref = run()
+    return res, ref
+
+
+def _assert_same_run(res, ref):
+    # repr tells -0.0 from 0.0, so equal lists are bit-identical traces
+    assert (res.n_capt, res.n_esc) == (ref.n_capt, ref.n_esc)
+    assert list(map(repr, res.trace)) == list(map(repr, ref.trace))
+
+
+@pytest.mark.parametrize("policy", sorted(LATTICE_RUNS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lattice_streams_run_as_on_the_reference_kernel(policy, data):
+    # ids are shuffled, so an order by id differs from the arrival order
+    v, L = data.draw(st.sampled_from(SLOW_VL if policy == "tf" else FAST_VL))
+    env = make_env(W=5.0, L=L, v=v, lam=1.0)
+    stream = _shuffled_ids(data, lattice_stream(data, env, max_size=10))
+    x0 = 0.5 * data.draw(st.integers(0, 10))
+    eta = data.draw(st.sampled_from([0.5, 1.0]))
+    _assert_same_run(*_on_both_kernels(lambda: LATTICE_RUNS[policy](stream, x0, eta)))
+
+
+@pytest.mark.parametrize("policy", sorted(LATTICE_RUNS))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), lam=st.sampled_from([0.5, 2.0, 8.0]),
+       eta=st.sampled_from([0.5, 1.0]))
+def test_uniform_streams_run_as_on_the_reference_kernel(policy, seed, lam, eta):
+    v, L = (0.5, 8.0) if policy == "tf" else (2.0, 40.0)
+    stream = generate_stream(make_env(W=10.0, L=L, v=v, lam=lam), 120, seed=seed)
+    _assert_same_run(*_on_both_kernels(lambda: LATTICE_RUNS[policy](stream, 5.0, eta)))
+
+
+@pytest.mark.parametrize("policy", ["nclp", "lp", "gp"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_escape_ties_run_as_on_the_reference_kernel(policy, data):
+    stream = _escape_tie_stream(data)
+    x0 = 0.5 * data.draw(st.integers(0, 20))
+    eta = data.draw(st.sampled_from([0.5, 1.0]))
+    _assert_same_run(*_on_both_kernels(lambda: LATTICE_RUNS[policy](stream, x0, eta)))
+
+
+def _scaled(stream: DemandStream, c: float) -> DemandStream:
+    env = stream.env
+    return DemandStream(make_env(W=env.W * c, L=env.L * c, v=env.v, lam=env.lam / c),
+                        stream.seed, [Demand(d.id, d.t_arr * c, d.x * c) for d in stream])
+
+
+@pytest.mark.parametrize("policy", ["nclp", "lp", "gp"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(-40, 40))
+def test_deadline_traces_scale_by_powers_of_two(policy, data, k):
+    # W, L, every t_arr and x times 2**k, lam times 2**-k: every sum,
+    # difference and quotient scales exactly, so the event sequence is the
+    # same and its times and positions scale; on the 0.5 lattice events
+    # coincide, which pins the edges of advance's windows.  TF is left out
+    # until the local search's _IMPROVE_EPS is relative (ROADMAP item 9).
+    if data.draw(st.booleans()):
+        v, L = data.draw(st.sampled_from(FAST_VL))
+        stream = lattice_stream(data, make_env(W=5.0, L=L, v=v, lam=1.0), max_size=10)
+    else:
+        lam = data.draw(st.sampled_from([0.25, 1.0, 4.0]))
+        stream = generate_stream(make_env(W=20.0, L=40.0, v=2.0, lam=lam), 150,
+                                 seed=data.draw(st.integers(0, 2 ** 16)))
+    x0 = 0.5 * data.draw(st.integers(0, 10))
+    eta = data.draw(st.sampled_from([0.5, 1.0]))
+    c = 2.0 ** k
+    res = LATTICE_RUNS[policy](stream, x0, eta)
+    big = LATTICE_RUNS[policy](_scaled(stream, c), x0 * c, eta)
+    assert (big.n_capt, big.n_esc) == (res.n_capt, res.n_esc)
+    assert [(e.event, e.demand_id, e.t, e.vehicle_x) for e in big.trace] == \
+        [(e.event, e.demand_id, e.t * c, e.vehicle_x * c) for e in res.trace]
