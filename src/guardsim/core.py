@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterator
 
@@ -67,63 +67,86 @@ class VehicleState:
     t: float
 
 
-@dataclass
 class DemandStream:
     """A seeded batch of demands over a fixed environment, with unique count
     ids and finite arrival times t_arr >= 0 that strictly increase.
 
-    Treated as immutable once built; no policy writes to a demand, so one
-    stream is safe to share across runs.
+    The stream is three columns in arrival order, `ids`, `t_arr` and `x`
+    (Python lists; times and abscissae are floats), and runs read only
+    these: the event kernel and the planners name a demand by its position
+    k, and its id is ids[k].  `demands`, iteration and indexing give `Demand`
+    records, built from the columns on first use and kept; no policy run
+    asks for them.  `DemandStream(env, seed, demands)` checks every record
+    and fills the columns; `generate_stream` fills them from its arrays.
+
+    Treated as immutable once built: nothing writes to the columns, and a
+    change to a record in `demands` does not reach them.  So one stream is
+    safe to share across runs.
     """
 
-    env: EnvParams
-    seed: int
-    demands: list[Demand] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.env, EnvParams):
-            raise ContractViolationError(f"env must be an EnvParams, got {self.env!r}")
-        if not isinstance(self.demands, list):
-            if isinstance(self.demands, (str, bytes)) or not hasattr(self.demands, "__iter__"):
+    def __init__(self, env: EnvParams, seed: int, demands=()) -> None:
+        if not isinstance(env, EnvParams):
+            raise ContractViolationError(f"env must be an EnvParams, got {env!r}")
+        if not is_count(seed):
+            raise ContractViolationError(f"seed must be a non-negative int, got {seed!r}")
+        if not isinstance(demands, list):
+            if isinstance(demands, (str, bytes)) or not hasattr(demands, "__iter__"):
                 raise ContractViolationError(
-                    f"demands must be an iterable of Demand records, got {self.demands!r}")
-            self.demands = list(self.demands)      # an iterable is read once, here
-        prev, W, maxsize = -math.inf, self.env.W, sys.maxsize   # locals: read per demand
+                    f"demands must be an iterable of Demand records, got {demands!r}")
+            demands = list(demands)      # an iterable is read once, here
+        self.env, self.seed = env, seed
+        self.ids: list[int] = []
+        self.t_arr: list[float] = []
+        self.x: list[float] = []
+        self._demands: list[Demand] | None = None
+        prev, W, maxsize = -math.inf, env.W, sys.maxsize   # locals: read per demand
         try:
-            for d in self.demands:
+            for d in demands:
                 if not isinstance(d, Demand):
                     raise ContractViolationError(f"demand record {d!r} is not a Demand")
-                i = d.id        # is_count, with a fast path for an exact int
+                i, t, x = d.id, d.t_arr, d.x      # is_count, with a fast path for an exact int
                 if not (i.__class__ is int and 0 <= i <= maxsize or is_count(i)):
                     raise ContractViolationError(
                         f"demand id {i!r} must be an int in [0, sys.maxsize]")
-                if not prev < d.t_arr <= _FLOAT_MAX:
-                    if not abs(d.t_arr) <= _FLOAT_MAX:
+                if not prev < t <= _FLOAT_MAX:
+                    if not abs(t) <= _FLOAT_MAX:
                         raise ContractViolationError(
-                            f"demand {d.id}: arrival time {d.t_arr} is not finite")
+                            f"demand {i}: arrival time {t} is not finite")
                     raise ContractViolationError(
-                        f"demand {d.id}: arrival times must be strictly increasing"
+                        f"demand {i}: arrival times must be strictly increasing"
                     )
-                prev = d.t_arr
+                prev = t
                 # generated abscissae live in [0, W); hand-built boundary x = W is tolerated
-                if not (0.0 <= d.x <= W):
+                if not (0.0 <= x <= W):
                     raise ContractViolationError(
-                        f"demand {d.id}: abscissa {d.x} outside [0, {self.env.W}]"
+                        f"demand {i}: abscissa {x} outside [0, {W}]"
                     )
+                if not (t.__class__ is float and x.__class__ is float
+                        or is_number(t) and is_number(x)):
+                    raise TypeError     # a bool, or another type that compares like a number
+                self.ids.append(i)
+                self.t_arr.append(float(t))
+                self.x.append(float(x))
         except TypeError:
             raise ContractViolationError(f"demand {d.id}: arrival time {d.t_arr!r} "
                                          f"and abscissa {d.x!r} must be numbers") from None
         # the deadline policies start their clock at t = 0; arrivals
         # increase, so the first is the earliest
-        if self.demands and self.demands[0].t_arr < 0.0:
-            d = self.demands[0]
+        if self.t_arr and self.t_arr[0] < 0.0:
             raise ContractViolationError(
-                f"demand {d.id}: arrival time {d.t_arr} is negative")
-        if len({d.id for d in self.demands}) != len(self.demands):
+                f"demand {self.ids[0]}: arrival time {demands[0].t_arr} is negative")
+        if len(set(self.ids)) != len(self.ids):
             raise ContractViolationError("demand ids must be unique")
 
+    @property
+    def demands(self) -> list[Demand]:
+        """The stream as `Demand` records, built once, on first use."""
+        if self._demands is None:
+            self._demands = list(map(Demand, self.ids, self.t_arr, self.x))
+        return self._demands
+
     def __len__(self) -> int:
-        return len(self.demands)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Demand]:
         return iter(self.demands)
@@ -146,20 +169,20 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
             f"n_demands must be at most sys.maxsize // 8 = {sys.maxsize // 8}, got {n_demands!r}")
     if not is_count(seed):
         raise ParameterDomainError(f"seed must be a non-negative int, got {seed!r}")
-    stream = DemandStream(env=env, seed=seed)     # checks env
+    stream = DemandStream(env, seed)     # checks env
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(n_demands)          # in (0, 1], keeps -ln(U) finite
     gaps = -np.log(u) / env.lam
     t_arr = np.cumsum(gaps)
     xs = env.W * rng.random(n_demands)       # in [0, W)
-    demands = list(map(Demand, range(n_demands), t_arr.tolist(), xs.tolist()))
     # ids 0..n-1 and abscissae in [0, W) hold by construction; the arrivals
     # are checked as one array, and only a bad one goes through the
     # per-demand check, which raises naming the first bad demand
     if n_demands and not (t_arr[0] >= 0.0 and np.isfinite(t_arr).all()
                           and (t_arr[1:] > t_arr[:-1]).all()):
-        return DemandStream(env=env, seed=seed, demands=demands)
-    stream.demands = demands
+        return DemandStream(env, seed, list(map(Demand, range(n_demands), t_arr.tolist(),
+                                                xs.tolist())))
+    stream.ids, stream.t_arr, stream.x = list(range(n_demands)), t_arr.tolist(), xs.tolist()
     return stream
 
 
@@ -181,7 +204,8 @@ def write_jsonl(records, out) -> None:
 def write_stream_jsonl(stream: DemandStream, out) -> None:
     """Write stream to out, a file path or an open text file."""
     header = {"env": asdict(stream.env), "seed": stream.seed, "n": len(stream)}
-    write_jsonl(chain([header], ({"id": d.id, "t_arr": d.t_arr, "x": d.x} for d in stream)),
+    write_jsonl(chain([header], ({"id": i, "t_arr": t, "x": x}
+                                 for i, t, x in zip(stream.ids, stream.t_arr, stream.x))),
                 out)
 
 

@@ -14,9 +14,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .core import Demand, DemandStream, VehicleState, write_jsonl
+from .core import DemandStream, write_jsonl
 from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_number
-from .reachability import longest_chain_fast
+# the policies plan with _chain on the stream's columns; longest_chain_fast
+# stays importable here, where bench/spans.py looks it up by name
+from .reachability import _chain, longest_chain_fast  # noqa: F401
 
 
 @dataclass
@@ -66,18 +68,21 @@ def write_trace_jsonl(result: RunResult, path: str) -> None:
 class _EventKernel:
     """Event bookkeeping shared by both regimes; a policy adds its planner.
 
-    The kernel reads the stream's demands and never writes to them.  It
-    admits their arrivals and fires their escapes in time order while the
-    policy moves the vehicle along motion legs and captures.  It alone owns
-    a demand's state: the outstanding demands (kept in arrival order, on
-    which GP's scan relies), two cursors into the stream, the current leg,
-    the counters and the trace.  Arrivals increase strictly, and each
-    demand escapes L/v after it arrives, so escapes come in arrival order
-    too: `arrived` counts the demands admitted so far, and a second cursor
-    counts those whose escape instant has passed.  Each `advance` finds the
-    window of arrivals and the window of escapes it crosses by bisection
-    over the arrival instants and the escape instants t_arr + L/v, which
-    are computed once per run (one stream may serve several environments).
+    The kernel reads the stream's columns (`DemandStream.ids`, `t_arr`, `x`)
+    and never writes to them; it and the planners name a demand by its
+    position k in the stream, and a trace event names ids[k].  It admits
+    the arrivals and fires the escapes in time order while the policy moves
+    the vehicle along motion legs and captures.  It alone owns a demand's
+    state: the positions of the outstanding demands (`outstanding`, a dict
+    kept in arrival order, on which GP's scan relies), the protected
+    positions, two cursors into the stream, the current leg, the counters
+    and the trace.  Arrivals increase strictly, and each demand escapes L/v
+    after it arrives, so escapes come in arrival order too: `arrived`
+    counts the demands admitted so far, and a second cursor counts those
+    whose escape instant has passed.  Each `advance` finds the window of
+    arrivals and the window of escapes it crosses by bisection over the
+    arrival instants and the escape instants t_arr + L/v, which are
+    computed once per run (one stream may serve several environments).
     Traced and untraced runs change the state alike; a kept trace only
     adds the window's events, merged in the order below.
 
@@ -107,13 +112,13 @@ class _EventKernel:
         self.env = env
         self.strip = strip
         self.start = _check_start(env, start, strip)
-        self.demands = stream.demands
+        self.stream = stream
         self.l_v = l_v = env.L / env.v
-        self._t_arr = [d.t_arr for d in self.demands]
+        self._t_arr = stream.t_arr
         self._t_esc = [t + l_v for t in self._t_arr]
-        self.arrived = 0              # demands[arrived] arrives next
-        self._passed = 0              # demands[:_passed] are past their escape instant
-        self.outstanding: dict[int, Demand] = {}
+        self.arrived = 0              # position arrived arrives next
+        self._passed = 0              # positions below _passed are past their escape instant
+        self.outstanding: dict[int, None] = {}
         self.protected: set[int] = set()
         self.events: list[TraceEvent] | None = [] if trace else None
         self.n_capt = 0
@@ -137,47 +142,48 @@ class _EventKernel:
         a0, p0 = self.arrived, self._passed
         a1 = (bisect_right if inclusive_arrivals else bisect_left)(self._t_arr, t_end, a0)
         p1 = bisect_right(self._t_esc, t_end, p0, a1)       # only admitted demands escape
-        demands, outstanding = self.demands, self.outstanding
+        outstanding = self.outstanding
         if a1 > a0:
             self.arrived = a1
-            for d in demands[a0:a1]:
-                outstanding[d.id] = d
-        fired = []
+            for k in range(a0, a1):
+                outstanding[k] = None
+        fired = ()
         if p1 > p0:
             self._passed = p1
             protected = self.protected
-            for d in demands[p0:p1]:
-                if d.id in outstanding and d.id not in protected:
-                    del outstanding[d.id]
-                    fired.append(d)
+            fired = [k for k in range(p0, p1) if k in outstanding and k not in protected]
+            for k in fired:
+                del outstanding[k]
             self.n_esc += len(fired)
         if self.events is not None:
             self._log(a0, a1, fired)
 
-    def _log(self, a0: int, a1: int, fired: list[Demand]) -> None:
-        """Trace the arrivals of demands[a0:a1] and the escapes of fired, in
-        time order: an escape before an arrival at one instant, but never
+    def _log(self, a0: int, a1: int, fired) -> None:
+        """Trace the arrivals of positions a0..a1-1 and the escapes of fired,
+        in time order: an escape before an arrival at one instant, but never
         before its own demand's arrival."""
-        demands, t_arr, l_v = self.demands, self._t_arr, self.l_v
+        ids, t_arr, t_esc = self.stream.ids, self._t_arr, self._t_esc
         events, x_at, a = self.events, self._x_at, a0
-        for d in fired:
-            t_e = d.t_arr + l_v
-            while a < a1 and (t_arr[a] < t_e or demands[a] is d):
-                events.append(TraceEvent(t_arr[a], "arrival", demands[a].id, x_at(t_arr[a])))
+        for k in fired:
+            t_e = t_esc[k]
+            while a < a1 and (t_arr[a] < t_e or a == k):
+                events.append(TraceEvent(t_arr[a], "arrival", ids[a], x_at(t_arr[a])))
                 a += 1
-            events.append(TraceEvent(t_e, "escape", d.id, x_at(t_e)))
+            events.append(TraceEvent(t_e, "escape", ids[k], x_at(t_e)))
         for a in range(a, a1):
-            events.append(TraceEvent(t_arr[a], "arrival", demands[a].id, x_at(t_arr[a])))
+            events.append(TraceEvent(t_arr[a], "arrival", ids[a], x_at(t_arr[a])))
 
-    def capture(self, d: Demand, t: float) -> None:
-        """Capture outstanding d at t; the vehicle is then at d.x."""
-        if self.outstanding.pop(d.id, None) is None:
+    def capture(self, k: int, t: float) -> None:
+        """Capture the outstanding demand at position k at t; the vehicle is
+        then at its abscissa."""
+        if k not in self.outstanding:
             raise ContractViolationError(
-                f"demand {d.id} is not outstanding at t={t}")
-        self.protected.discard(d.id)
+                f"demand {self.stream.ids[k]} is not outstanding at t={t}")
+        del self.outstanding[k]
+        self.protected.discard(k)
         self.n_capt += 1
         if self.events is not None:
-            self.events.append(TraceEvent(t, "capture", d.id, d.x))
+            self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
 
     def recompute(self, t: float, x: float) -> None:
         if self.events is not None:
@@ -186,10 +192,10 @@ class _EventKernel:
     def finish(self) -> RunResult:
         """Let every remaining demand arrive and escape; check conservation."""
         self.advance(math.inf, True)
-        if self.n_capt + self.n_esc != len(self.demands):
+        if self.n_capt + self.n_esc != len(self._t_arr):
             raise ContractViolationError(
                 f"{self.n_capt} captures + {self.n_esc} escapes "
-                f"!= {len(self.demands)} demands")
+                f"!= {len(self._t_arr)} demands")
         return RunResult(self.n_capt, self.n_esc, trace=self.events)
 
 
@@ -210,16 +216,17 @@ def _check_start(env, start, strip: bool) -> tuple:
     return tuple(map(float, p))
 
 
-def _execute(sim: _EventKernel, commit: list[Demand], t: float, x: float):
-    """Capture the committed demands in order, each on its deadline: slide
-    to its abscissa and wait.  Returns the vehicle's (t, x) afterwards."""
-    sim.protected.update(d.id for d in commit)
-    for d in commit:
-        t_cap = d.t_arr + sim.l_v
-        sim.leg = (t, x, d.x, abs(d.x - x))
+def _execute(sim: _EventKernel, commit: list[int], t: float, x: float):
+    """Capture the committed positions in order, each on its deadline:
+    slide to its abscissa and wait.  Returns the vehicle's (t, x) afterwards."""
+    t_arr, xs, l_v = sim.stream.t_arr, sim.stream.x, sim.l_v
+    sim.protected.update(commit)
+    for k in commit:
+        t_cap, x_k = t_arr[k] + l_v, xs[k]
+        sim.leg = (t, x, x_k, abs(x_k - x))
         sim.advance(t_cap, False)
-        sim.capture(d, t_cap)
-        t, x = t_cap, d.x
+        sim.capture(k, t_cap)
+        t, x = t_cap, x_k
     sim.leg = (t, x, x, 0.0)
     return t, x
 
@@ -227,9 +234,10 @@ def _execute(sim: _EventKernel, commit: list[Demand], t: float, x: float):
 def _run(sim: _EventKernel, planner) -> RunResult:
     """Replan after every commit and every arrival until the stream resolves.
 
-    planner(t, x) -> outstanding demands to commit, in capture order; it
-    commits only paths the vehicle can follow from (x, L) at t.
+    planner(t, x) -> positions of outstanding demands to commit, in capture
+    order; it commits only paths the vehicle can follow from (x, L) at t.
     """
+    t_arr = sim.stream.t_arr
     t, x = 0.0, sim.start[0]
     while True:
         commit = planner(t, x)
@@ -239,24 +247,22 @@ def _run(sim: _EventKernel, planner) -> RunResult:
         if commit:
             t, x = _execute(sim, commit, t, x)
         elif sim.arrived == waiting:          # nothing new: idle or done
-            if sim.arrived == len(sim.demands):
+            if sim.arrived == len(t_arr):
                 return sim.finish()
-            t = sim.demands[sim.arrived].t_arr
+            t = t_arr[sim.arrived]
             sim.advance(t, True)
 
 
 def run_nclp(stream: DemandStream, start_x: float | None = None,
              trace: bool = False) -> RunResult:
     """Non-causal longest path: one plan over the entire stream at t=0,
-    by the O(n log n) chain (longest_chain_fast)."""
-    env = stream.env
+    by the O(n log n) chain that longest_chain_fast runs on records."""
     sim = _EventKernel(stream, start_x, trace)
     x0 = sim.start[0]
-    plan = longest_chain_fast(VehicleState(x0, env.L, 0.0), sim.demands, env.v, env.L)
+    plan = _chain(x0, 0.0, range(len(stream)), stream.t_arr, stream.x, stream.ids, sim.l_v)
     sim.recompute(0.0, x0)
     sim.advance(0.0, True)
-    by_id = {d.id: d for d in sim.demands}
-    _execute(sim, [by_id[i] for i in plan.order], 0.0, x0)
+    _execute(sim, plan, 0.0, x0)
     return sim.finish()
 
 
@@ -264,19 +270,17 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
            trace: bool = False) -> RunResult:
     """Causal longest path over outstanding demands, committing an eta
     fraction (ceil) of each recomputed path."""
-    env = stream.env
     if not (is_number(eta) and 0 < eta <= 1):
         raise ParameterDomainError(f"eta must be in (0, 1], got {eta!r}")
     eta = float(eta)
     sim = _EventKernel(stream, start_x, trace)
+    t_arr, xs, ids, l_v = stream.t_arr, stream.x, stream.ids, sim.l_v
 
     def planner(t, x):
         if not sim.outstanding:
             return []
-        plan = longest_chain_fast(VehicleState(x, env.L, t),
-                                  list(sim.outstanding.values()), env.v, env.L)
-        k = math.ceil(eta * plan.length)
-        return [sim.outstanding[i] for i in plan.order[:k]]
+        plan = _chain(x, t, list(sim.outstanding), t_arr, xs, ids, l_v)
+        return plan[:math.ceil(eta * len(plan))]
 
     return _run(sim, planner)
 
@@ -288,16 +292,16 @@ def run_gp(stream: DemandStream, start_x: float | None = None,
     so deadlines never decrease along it and the scan stops past the first
     reachable one: O(k) for the k demands up to there, usually a few."""
     sim = _EventKernel(stream, start_x, trace)
-    l_v = sim.l_v
+    t_arr, xs, ids, l_v = stream.t_arr, stream.x, stream.ids, sim.l_v
 
     def planner(t, x):
         best = None
-        for d in sim.outstanding.values():
-            dl = d.t_arr + l_v
+        for k in sim.outstanding:
+            dl = t_arr[k] + l_v
             if best is not None and dl > best_dl:
                 break
-            if abs(x - d.x) <= dl - t and (best is None or d.id < best.id):
-                best, best_dl = d, dl
-        return [best] if best else []
+            if abs(x - xs[k]) <= dl - t and (best is None or ids[k] < ids[best]):
+                best, best_dl = k, dl
+        return [] if best is None else [best]
 
     return _run(sim, planner)

@@ -14,8 +14,9 @@ from itertools import compress
 
 import numpy as np
 
-from .core import VehicleState
-from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_number
+from .core import Demand, VehicleState
+from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_count, \
+    is_number, require_positive
 
 
 @dataclass
@@ -41,8 +42,11 @@ class ReachGraph:
 
 
 def _check_regime_and_state(vehicle: VehicleState, v: float, L: float) -> None:
+    require_positive(v=v, L=L)
     if v < 1.0:
         raise RegimeError(f"deadline reachability needs v >= 1, got v={v}")
+    if not isinstance(vehicle, VehicleState):
+        raise ParameterDomainError(f"vehicle must be a VehicleState, got {vehicle!r}")
     if not is_number(vehicle.x):
         raise ParameterDomainError(f"vehicle abscissa must be finite, got x={vehicle.x!r}")
     if not is_number(vehicle.t):
@@ -51,6 +55,26 @@ def _check_regime_and_state(vehicle: VehicleState, v: float, L: float) -> None:
         raise ContractViolationError(
             f"vehicle must sit on the deadline y={L}, got y={vehicle.y}"
         )
+
+
+def _columns(demands) -> tuple[list[int], list[float], list[float]]:
+    """(ids, t_arr, x) of demands, an iterable of Demand records read once;
+    raises ContractViolationError for anything else, or repeated ids."""
+    if isinstance(demands, (str, bytes)) or not hasattr(demands, "__iter__"):
+        raise ContractViolationError(
+            f"demands must be an iterable of Demand records, got {demands!r}")
+    ids, ts, xs = [], [], []
+    for d in demands:
+        if not (isinstance(d, Demand) and is_count(d.id) and is_number(d.t_arr)
+                and is_number(d.x)):
+            raise ContractViolationError(
+                f"demand record {d!r} must be a Demand with a count id and finite t_arr and x")
+        ids.append(d.id)
+        ts.append(float(d.t_arr))
+        xs.append(float(d.x))
+    if len(set(ids)) != len(ids):
+        raise ContractViolationError("demand ids must be unique")
+    return ids, ts, xs
 
 
 def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> ReachGraph:
@@ -62,11 +86,13 @@ def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> Rea
     deadline.  The plan is the one NCLP and LP follow from this vehicle
     state: a longest source-rooted path of these edges.
     """
-    plan = longest_chain_fast(vehicle, demands, v, L)      # checks the input too
-    order = sorted(demands, key=lambda d: (d.t_arr, d.id))
-    ids = [d.id for d in order]
-    ts = np.array([d.t_arr for d in order])
-    xs = np.array([d.x for d in order])
+    _check_regime_and_state(vehicle, v, L)
+    ids, ts, xs = _columns(demands)
+    plan = _chain_plan(vehicle, ids, ts, xs, L / v)         # refuses an escaped demand
+    topo = sorted(range(len(ids)), key=lambda k: (ts[k], ids[k]))
+    ids = [ids[k] for k in topo]
+    ts = np.array([ts[k] for k in topo])
+    xs = np.array([xs[k] for k in topo])
 
     src_mask = np.abs(vehicle.x - xs) <= ts + L / v - vehicle.t
     edges: dict[int, list[int]] = {}
@@ -96,28 +122,42 @@ def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> Pa
     longest-path length.
     """
     _check_regime_and_state(vehicle, v, L)
-    l_v, t_now = L / v, vehicle.t
+    return _chain_plan(vehicle, *_columns(demands), L / v)
+
+
+def _chain_plan(vehicle: VehicleState, ids, ts, xs, l_v: float) -> PathPlan:
+    """longest_chain_fast's PathPlan over the columns (ids, ts, xs)."""
+    chain = _chain(vehicle.x, vehicle.t, range(len(ids)), ts, xs, ids, l_v)
+    return PathPlan(order=[ids[k] for k in chain],
+                    capture_times=[ts[k] + l_v for k in chain], length=len(chain))
+
+
+def _chain(x: float, t_now: float, ks, t_arr, xs, ids, l_v: float) -> list[int]:
+    """Positions, in capture order, of a longest plan from abscissa x on the
+    deadline at t_now over the demands at positions ks of the columns
+    (ids, t_arr, xs), each captured on its deadline t_arr + l_v.  Refuses
+    a demand already escaped at t_now.  Ties go by (u, w, id)."""
     t0v = t_now - l_v
-    u_s = t0v - vehicle.x
-    w_s = t0v + vehicle.x
+    u_s = t0v - x
+    w_s = t0v + x
     items = []
-    for d in demands:       # one pass: refuse an escaped demand, keep the reachable ones
-        t, x = d.t_arr, d.x
+    for k in ks:       # one pass: refuse an escaped demand, keep the reachable ones
+        t, xk = t_arr[k], xs[k]
         if t + l_v <= t_now:
-            raise ContractViolationError(f"demand {d.id} already escaped at t={t_now}")
-        u = t - x
-        w = t + x
+            raise ContractViolationError(f"demand {ids[k]} already escaped at t={t_now}")
+        u = t - xk
+        w = t + xk
         if u >= u_s and w >= w_s:
-            items.append((u, w, d.id, d))
-    items.sort()                    # ids are unique: no Demand is compared
+            items.append((u, w, ids[k], k))
+    items.sort()                    # ids are unique: positions are never compared
     if not items:
-        return PathPlan(order=[], capture_times=[], length=0)
+        return []
 
     # patience sorting for the longest nondecreasing subsequence in w
     tails_w: list[float] = []
     tails_at: list[int] = []
     prev = [-1] * len(items)
-    for idx, (_u, w, _i, _d) in enumerate(items):
+    for idx, (_u, w, _i, _k) in enumerate(items):
         k = bisect.bisect_right(tails_w, w)
         if k > 0:
             prev[idx] = tails_at[k - 1]
@@ -130,12 +170,10 @@ def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> Pa
     chain = []
     k = tails_at[-1]
     while k >= 0:
-        chain.append(k)
+        chain.append(items[k][3])
         k = prev[k]
     chain.reverse()
-    order = [items[k][2] for k in chain]
-    times = [items[k][3].t_arr + l_v for k in chain]
-    return PathPlan(order=order, capture_times=times, length=len(order))
+    return chain
 
 
 def graph_to_dict(graph: ReachGraph) -> dict:

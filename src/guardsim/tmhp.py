@@ -622,37 +622,39 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
     """
     sim = _EventKernel(stream, start, trace, strip=True)
     v, L = sim.env.v, sim.env.L
+    t_arr, xs, ids = stream.t_arr, stream.x, stream.ids
     pos, t = sim.start, 0.0
     while True:
-        ready = [d for d in sim.outstanding.values() if v * (t - d.t_arr) <= L / 2.0]
+        ready = [k for k in sim.outstanding if v * (t - t_arr[k]) <= L / 2.0]
         if not ready:
             sim.leg = (t, pos[0], pos[0], 0.0)
-            if sim.arrived == len(sim.demands):
+            if sim.arrived == len(t_arr):
                 return sim.finish()     # anything left can only escape
-            t = sim.demands[sim.arrived].t_arr
+            t = t_arr[sim.arrived]
             sim.advance(t, True)
             continue
 
-        ready.sort(key=lambda d: (v * (t - d.t_arr), d.id))
+        ready.sort(key=lambda k: (v * (t - t_arr[k]), ids[k]))
         finish, others = ready[0], ready[1:]
-        P = np.array([pos] + [(d.x, v * (t - d.t_arr)) for d in others + [finish]], dtype=float)
+        P = np.array([pos] + [(xs[k], v * (t - t_arr[k])) for k in others + [finish]],
+                     dtype=float)
         order, _, _ = _plan(P, v)
         sim.recompute(t, pos[0])
-        targets = [others[k] for k in order] + [finish]
+        targets = [others[j] for j in order] + [finish]
         t_stop = t + L / (2.0 * v)
 
-        for d in targets:
-            if d.id not in sim.outstanding:
+        for k in targets:
+            if k not in sim.outstanding:
                 continue          # escaped at the budget boundary mid-path
-            now = (d.x, v * (t - d.t_arr))
+            now = (xs[k], v * (t - t_arr[k]))
             T = _intercept_time(pos, now, v)
             t_meet = t + T
-            aim = (d.x, now[1] + v * T)
+            aim = (xs[k], now[1] + v * T)
             sim.leg = (t, pos[0], aim[0], T)
             if t_meet <= t_stop:
-                sim.protected.add(d.id)
+                sim.protected.add(k)
                 sim.advance(t_meet, False)
-                sim.capture(d, t_meet)
+                sim.capture(k, t_meet)
                 pos, t = aim, t_meet
             else:
                 # budget exhausted mid-leg: stop on the segment and abandon

@@ -585,24 +585,25 @@ def check_trace(events, env, stream, start, tol=1e-9):
 class ReferenceKernel:
     """The event kernel as the `_EventKernel` docstring defines it, naively.
 
-    It has the interface the policies use (`env`, `start`, `demands`, `l_v`,
+    It has the interface the policies use (`env`, `start`, `stream`, `l_v`,
     `arrived`, `outstanding`, `protected`, `leg`, `advance`, `capture`,
-    `recompute`, `finish`), keeps one state per demand and finds each next
-    event in `advance` by scanning every demand, O(n) per event.  An event
-    is the earliest of: the escape, at t_arr + L/v, of an outstanding
-    demand that is not protected, and the arrival of a demand not yet
-    arrived.  At one instant an escape comes first, and escapes go in
-    arrival order.  Positions come from the two documented leg formulas.
+    `recompute`, `finish`), names a demand by its position in the stream,
+    keeps one state per position and finds each next event in `advance` by
+    scanning every position, O(n) per event.  An event is the earliest of:
+    the escape, at t_arr + L/v, of an outstanding demand that is not
+    protected, and the arrival of a demand not yet arrived.  At one instant
+    an escape comes first, and escapes go in arrival order.  Vehicle
+    abscissae come from the two documented leg formulas.
     """
 
     def __init__(self, stream, start, trace, strip=False):
         env = stream.env
         if (env.v < 1.0) != strip:
             raise RegimeError(f"v={env.v} does not fit strip={strip}")
-        self.env, self.strip, self.demands = env, strip, stream.demands
+        self.env, self.strip, self.stream = env, strip, stream
         self.start = _check_start(env, start, strip)
         self.l_v = env.L / env.v
-        self.state = {d.id: "pending" for d in self.demands}
+        self.state = ["pending"] * len(stream)
         self.outstanding = {}       # admitted in time order, so in arrival order
         self.protected = set()
         self.events = [] if trace else None
@@ -611,7 +612,7 @@ class ReferenceKernel:
 
     @property
     def arrived(self) -> int:
-        return sum(self.state[d.id] != "pending" for d in self.demands)
+        return sum(state != "pending" for state in self.state)
 
     def _x_at(self, t):
         t0, x_from, x_to, dur = self.leg
@@ -623,45 +624,46 @@ class ReferenceKernel:
         return x_from + (t - t0) if x_to >= x_from else x_from - (t - t0)
 
     def advance(self, t_end, inclusive_arrivals):
+        t_arr = self.stream.t_arr
         while True:
-            best = None         # (time, 0 for an escape and 1 for an arrival, rank, demand)
-            for rank, d in enumerate(self.demands):
-                state = self.state[d.id]
-                if state == "outstanding" and d.id not in self.protected:
-                    key = (d.t_arr + self.l_v, 0, rank, d)
+            best = None         # (time, 0 for an escape and 1 for an arrival, position)
+            for k, state in enumerate(self.state):
+                if state == "outstanding" and k not in self.protected:
+                    key = (t_arr[k] + self.l_v, 0, k)
                     if key[0] > t_end:
                         continue
                 elif state == "pending":
-                    key = (d.t_arr, 1, rank, d)
+                    key = (t_arr[k], 1, k)
                     if key[0] > t_end or (key[0] == t_end and not inclusive_arrivals):
                         continue
                 else:
                     continue
-                if best is None or key[:3] < best[:3]:
+                if best is None or key < best:
                     best = key
             if best is None:
                 return
-            t, kind, _, d = best
+            t, kind, k = best
             if kind == 0:
-                self.state[d.id] = "escaped"
-                del self.outstanding[d.id]
+                self.state[k] = "escaped"
+                del self.outstanding[k]
                 self.n_esc += 1
             else:
-                self.state[d.id] = "outstanding"
-                self.outstanding[d.id] = d
+                self.state[k] = "outstanding"
+                self.outstanding[k] = None
             if self.events is not None:
-                self.events.append(TraceEvent(t, ("escape", "arrival")[kind], d.id,
-                                              self._x_at(t)))
+                self.events.append(TraceEvent(t, ("escape", "arrival")[kind],
+                                              self.stream.ids[k], self._x_at(t)))
 
-    def capture(self, d, t):
-        if self.state.get(d.id) != "outstanding":
-            raise ContractViolationError(f"demand {d.id} is not outstanding at t={t}")
-        self.state[d.id] = "captured"
-        del self.outstanding[d.id]
-        self.protected.discard(d.id)
+    def capture(self, k, t):
+        if self.state[k] != "outstanding":
+            raise ContractViolationError(
+                f"demand {self.stream.ids[k]} is not outstanding at t={t}")
+        self.state[k] = "captured"
+        del self.outstanding[k]
+        self.protected.discard(k)
         self.n_capt += 1
         if self.events is not None:
-            self.events.append(TraceEvent(t, "capture", d.id, d.x))
+            self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
 
     def recompute(self, t, x):
         if self.events is not None:
@@ -669,6 +671,6 @@ class ReferenceKernel:
 
     def finish(self):
         self.advance(math.inf, True)
-        assert self.n_capt + self.n_esc == len(self.demands)
-        assert set(self.state.values()) <= {"captured", "escaped"}
+        assert self.n_capt + self.n_esc == len(self.state)
+        assert set(self.state) <= {"captured", "escaped"}
         return RunResult(self.n_capt, self.n_esc, trace=self.events)

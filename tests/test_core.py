@@ -66,7 +66,7 @@ def test_stream_validation():
     assert len(s) == 1
 
 
-@pytest.mark.parametrize("t_arr", [math.nan, math.inf, -math.inf, "1"])
+@pytest.mark.parametrize("t_arr", [math.nan, math.inf, -math.inf, "1", True])
 def test_stream_rejects_non_finite_arrival(t_arr):
     env = make_env(W=10, L=20, v=1, lam=1)
     with pytest.raises(ContractViolationError):
@@ -93,7 +93,17 @@ def test_stream_may_start_at_time_zero():
     assert run_gp(s, start_x=5.0).n_capt == 2
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, "1"])
+def test_stream_keeps_int_coordinates_as_floats():
+    # ints are numbers; the columns hold them as floats, so traces write 3.0
+    env = make_env(W=10, L=20, v=2, lam=1)
+    s = DemandStream(env, 0, [Demand(0, 0, 5), Demand(1, 3, 6)])
+    assert [(d.t_arr, d.x) for d in s] == [(0.0, 5.0), (3.0, 6.0)]
+    assert {type(v) for v in s.t_arr + s.x} == {float}
+    trace = run_gp(s, start_x=5.0, trace=True).trace
+    assert {type(e.t) for e in trace} == {type(e.vehicle_x) for e in trace} == {float}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, "1", False])
 def test_stream_rejects_non_finite_abscissa(x):
     env = make_env(W=10, L=20, v=1, lam=1)
     with pytest.raises(ContractViolationError):
@@ -124,6 +134,15 @@ def test_stream_rejects_demands_that_are_not_demand_records(demands, match):
     env = make_env(W=10, L=20, v=2, lam=1)
     with pytest.raises(ContractViolationError, match=match):
         DemandStream(env, 0, demands)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None], ids=repr)
+def test_stream_rejects_a_seed_that_is_not_a_count(seed):
+    # a stream file refuses such a seed in its header, so a stream could
+    # be written that would not read back
+    env = make_env(W=10, L=20, v=2, lam=1)
+    with pytest.raises(ContractViolationError, match="seed must be"):
+        DemandStream(env, seed, [Demand(0, 1.0, 5.0)])
 
 
 @pytest.mark.parametrize("env", [None, (10.0, 20.0, 2.0, 1.0), {"W": 10.0}], ids=repr)
@@ -208,6 +227,20 @@ def test_generate_stream_reproducible():
     assert [(d.t_arr, d.x) for d in a] == [(d.t_arr, d.x) for d in b]
     c = generate_stream(env, 200, seed=43)
     assert [(d.t_arr, d.x) for d in a] != [(d.t_arr, d.x) for d in c]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (3, 500), (17, 2000)])
+def test_generated_records_are_the_draws(seed, n):
+    # the columns, and the records built from them, hold exactly the ids
+    # 0..n-1 and the floats of the documented draws, bit for bit
+    env = make_env(W=120, L=500, v=2, lam=0.75)
+    rng = np.random.default_rng(seed)
+    t_arr = np.cumsum(-np.log(1.0 - rng.random(n)) / env.lam).tolist()
+    xs = (env.W * rng.random(n)).tolist()
+    s = generate_stream(env, n, seed)
+    assert (s.ids, s.t_arr, s.x) == (list(range(n)), t_arr, xs)
+    assert [(d.id, d.t_arr.hex(), d.x.hex()) for d in s.demands] == \
+        [(i, t.hex(), x.hex()) for i, t, x in zip(range(n), t_arr, xs)]
 
 
 def test_generate_stream_shape():

@@ -10,7 +10,9 @@ property test runs all four policies over streams on a 0.5 lattice, where
 events often coincide.  Property tests run every policy on `_EventKernel`
 and on `_oracles.ReferenceKernel`, which applies the documented rules by
 brute force, and require the same trace; others scale a stream by a power
-of two and require the same trace, scaled.
+of two and require the same trace, scaled.  A generated stream and the same
+stream rebuilt from its records must run alike, and no run may build a
+`Demand` record: runs read the stream's columns.
 """
 import hashlib
 import math
@@ -342,13 +344,13 @@ def test_kernel_rejects_a_capture_of_a_demand_not_outstanding():
     s = DemandStream(DEADLINE_ENV, 0, [Demand(0, 1.0, 50.0), Demand(1, 3.0, 70.0)])
     sim = _EventKernel(s, None, False)
     sim.advance(3.0, True)
-    sim.capture(s[0], 10.0)
+    sim.capture(0, 10.0)
     with pytest.raises(ContractViolationError, match="demand 0"):
-        sim.capture(s[0], 11.0)           # already captured
+        sim.capture(0, 11.0)              # already captured
     sim = _EventKernel(s, None, False)
     sim.advance(2.0, True)
     with pytest.raises(ContractViolationError, match="demand 1"):
-        sim.capture(s[1], 2.0)            # has not arrived yet
+        sim.capture(1, 2.0)               # has not arrived yet
 
 
 def test_one_stream_is_safe_to_share_across_policies():
@@ -433,6 +435,40 @@ def test_escape_ties_run_as_on_the_reference_kernel(policy, data):
     x0 = 0.5 * data.draw(st.integers(0, 20))
     eta = data.draw(st.sampled_from([0.5, 1.0]))
     _assert_same_run(*_on_both_kernels(lambda: LATTICE_RUNS[policy](stream, x0, eta)))
+
+
+@pytest.mark.parametrize("policy", sorted(LATTICE_RUNS))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), lam=st.sampled_from([0.5, 2.0, 8.0]),
+       eta=st.sampled_from([0.5, 1.0]))
+def test_a_generated_stream_runs_as_its_records(policy, seed, lam, eta):
+    # the two routes into a stream, columns filled from generated arrays and
+    # columns filled from checked records, give the same runs
+    v, L = (0.5, 8.0) if policy == "tf" else (2.0, 40.0)
+    generated = generate_stream(make_env(W=10.0, L=L, v=v, lam=lam), 120, seed=seed)
+    rebuilt = DemandStream(generated.env, generated.seed, list(generated.demands))
+    _assert_same_run(LATTICE_RUNS[policy](generated, 5.0, eta),
+                     LATTICE_RUNS[policy](rebuilt, 5.0, eta))
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_policy_runs_build_no_demand_records(monkeypatch, trace):
+    built = []
+    init = Demand.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Demand, "__init__", counting_init)
+    deadline = generate_stream(DEADLINE_ENV, 400, seed=2)
+    strip = generate_stream(STRIP_ENV, 300, seed=2)
+    for run in (lambda: run_nclp(deadline, trace=trace),
+                lambda: run_lp(deadline, eta=0.5, trace=trace),
+                lambda: run_gp(deadline, trace=trace), lambda: run_tf(strip, trace=trace)):
+        run()
+    assert built == []
+    assert len(deadline.demands) == len(built) == 400    # records come only on request
 
 
 def _scaled(stream: DemandStream, c: float) -> DemandStream:

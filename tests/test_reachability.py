@@ -224,6 +224,17 @@ def test_graph_to_dict_structure():
     assert d["source"] == {"x": 5.0, "y": 20.0, "t": 0.0}
 
 
+def test_planners_read_a_generator_of_demands_once():
+    # a generator gives the graph and plan its list gives
+    demands = [Demand(0, 1.0, 5.0), Demand(1, 2.0, 6.0), Demand(2, 2.5, 1.0)]
+    veh = VehicleState(5.0, 20.0, 0.0)
+    want = graph_to_dict(build_reach_graph(veh, demands, v=2.0, L=20.0))
+    assert want["vertices"] == [0, 1, 2] and want["longest_path"]["length"] == 2
+    assert graph_to_dict(build_reach_graph(veh, iter(demands), v=2.0, L=20.0)) == want
+    assert longest_chain_fast(veh, (d for d in demands), v=2.0, L=20.0) == \
+        longest_chain_fast(veh, demands, v=2.0, L=20.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_printed_plan_is_the_plan_nclp_runs(data):
