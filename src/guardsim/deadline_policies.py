@@ -104,6 +104,8 @@ class _EventKernel:
     """
 
     def __init__(self, stream: DemandStream, start, trace: bool, strip: bool = False):
+        if not isinstance(trace, bool):
+            raise ParameterDomainError(f"trace must be True or False, got {trace!r}")
         env = stream.env
         if strip and env.v >= 1.0:
             raise RegimeError(f"the TF policy needs v < 1, got v={env.v}")

@@ -222,8 +222,14 @@ def _neighbours(X: np.ndarray, Y: np.ndarray, k: int):
     a cell.  A point collects the cells within R of its own (R = 2 at first)
     and keeps its k nearest candidates when the k-th lies within R cell
     widths, since no point outside those cells is closer; the others retry
-    with R doubled.  Returns (index, distance) arrays of shape (m, k), with
-    k cut to m - 1.  Memory is O(m * k) plus the candidates of a chunk.
+    with R doubled.  A row of candidates, held in index order, is ranked by
+    numpy's default (unstable) argsort, which orders equal distances either
+    way.  Only a row whose first k + 1 sorted distances hold an equal
+    adjacent pair (a tie, or two inf pads) can come out differently from a
+    stable sort, so only those rows are sorted again, stably: without such
+    a pair the k nearest and their order are unique.  Returns (index,
+    distance) arrays of shape (m, k), with k cut to m - 1.  Memory is
+    O(m * k) plus the candidates of a chunk.
     """
     m = len(X)
     k = min(k, m - 1)
@@ -270,8 +276,14 @@ def _neighbours(X: np.ndarray, Y: np.ndarray, k: int):
             src = pts[:, None]
             D = _dists(X[src], Y[src], X[np.minimum(C, m - 1)], Y[np.minimum(C, m - 1)])
             D[(C == src) | (C == m)] = np.inf
-            o = np.argsort(D, axis=1, kind="stable")[:, :k]
-            D = np.take_along_axis(D, o, axis=1)
+            o = np.argsort(D, axis=1)[:, :k + 1]
+            Ds = np.take_along_axis(D, o, axis=1)
+            # only rows with an equal adjacent pair can differ from a stable
+            # sort; re-sorting them leaves their sorted distances as they are
+            tie = (Ds[:, 1:] == Ds[:, :-1]).any(axis=1)
+            if tie.any():
+                o[tie] = np.argsort(D[tie], axis=1, kind="stable")[:, :k + 1]
+            o, D = o[:, :k], Ds[:, :k]
             # too few candidates leave an inf k-th distance, which fails
             ok = np.ones(len(rows), dtype=bool) if full else D[:, -1] <= R * h - slack
             idx[pts[ok]] = np.take_along_axis(C, o, axis=1)[ok]
@@ -288,49 +300,58 @@ def _improvable(X, Y, seq, E, nbr, nbd) -> list[int]:
     The same candidate moves, pruning and float expressions as the node
     examination in _local_search, evaluated for every node at once in
     numpy: seq is the path as node ids, E its leg lengths and nbr, nbd the
-    neighbour lists of _neighbours.  Memory is O(m * k).
+    neighbour lists of _neighbours, of shape (m, k).  Each move type is one
+    flat pair scan: a limit per node a, the length the move's pruning
+    compares |ac| with (0 or -inf where a has no such move), selects the
+    pairs (a, c) with nbd < limit by one flatnonzero over the (m, k) lists;
+    the range and identity tests and the gain run on those pairs only.
+    Memory is O(m * k).
     """
-    m = len(seq)
-    pos = np.empty(m, dtype=np.intp)
-    pos[seq] = np.arange(m)
-    # path data padded by 3 at each end: S[k + 3] = seq[k], L[k + 3] = E[k];
-    # no pad entry passes the masks below
+    m, k = nbd.shape
+    # path data padded by 3 at each end: S[p + 3] = seq[p], L[p + 3] = E[p]
     S = np.array(seq[:1] * 3 + seq + seq[-1:] * 3)
     L = np.array([0.0] * 3 + E + [0.0] * 4)
     XS, YS = X[S], Y[S]
-    P, Q = pos + 3, pos[nbr] + 3                 # padded positions of a, c
+    P = np.empty(m, dtype=np.intp)               # padded position of each node
+    P[S[3:m + 3]] = np.arange(3, m + 3)
+    Q = P[nbr].ravel()                           # padded position of each listed c
+    D = nbd.ravel()
 
     def dist(u, w):
         dx = XS[u] - XS[w]
         dy = YS[u] - YS[w]
         return np.sqrt(dx * dx + dy * dy)
 
-    found = np.zeros(m, dtype=bool)
-    # 2-opt: a-b and c-e give way to a-c and b-e
+    found = np.zeros(m + 6, dtype=bool)          # by padded position
+    # 2-opt: a-b and c-e give way to a-c and b-e; an end node's missing
+    # edge reads a pad leg of 0, which no |ac| undercuts
     for step in (1, -1):
         back = int(step < 0)
-        b, dab = P + step, L[P - back]
-        a, k = np.nonzero(((3 <= b) & (b < m + 3))[:, None] & (nbd < dab[:, None])
-                          & (3 <= Q + step) & (Q + step < m + 3))
-        b, e, q = b[a], Q[a, k] + step, Q[a, k]
-        ok = (S[q] != S[b]) & (S[e] != a)
-        ok &= (nbd[a, k] + dist(b, e)) - (dab[a] + L[q - back]) < -_IMPROVE_EPS
-        found[a[ok]] = True
-    # Or-opt: seq[i..j] leaves prev-nxt and goes in beside c
+        dab = L[P - back]
+        f = np.flatnonzero(nbd < dab[:, None])
+        a, q = f // k, Q[f]
+        p = P[a]
+        b, e = p + step, q + step
+        ok = (3 <= e) & (e < m + 3) & (S[q] != S[b]) & (S[e] != a)
+        ok &= (D[f] + dist(b, e)) - (dab[a] + L[q - back]) < -_IMPROVE_EPS
+        found[p[ok]] = True
+    # Or-opt: seq[i..j] leaves prev-nxt and goes in beside c; a segment
+    # must lie inside the path, between its first and last node
     for lo, hi in ((0, 0), (0, 1), (-1, 0), (0, 2), (-2, 0)):
         i, j = P + lo, P + hi
         gain = (L[i - 1] + L[j]) - dist(i - 1, j + 1)
-        a, k = np.nonzero(((3 < P) & (P < m + 2) & (4 <= i) & (j <= m + 1))[:, None]
-                          & (nbd < gain[:, None]))
-        i, j, gain, q, dac = i[a], j[a], gain[a], Q[a, k], nbd[a, k]
+        gain[(i < 4) | (j > m + 1)] = -np.inf
+        f = np.flatnonzero(nbd < gain[:, None])
+        a, q, dac = f // k, Q[f], D[f]
+        p = P[a]
+        i, j, gain = p + lo, p + hi, gain[a]
         t = j if lo == 0 else i                  # the end away from a
         after_c = ((q <= i - 2) | ((j < q) & (q < m + 2))) & (
             ((dac + dist(t, q + 1)) - L[q]) - gain < -_IMPROVE_EPS)
         before_c = (((3 < q) & (q < i)) | (q > j + 1)) & (
             ((dist(q - 1, t) + dac) - L[q - 1]) - gain < -_IMPROVE_EPS)
-        found[a[after_c | before_c]] = True
-    flagged = np.flatnonzero(found)
-    return flagged[np.argsort(pos[flagged])].tolist()
+        found[p[after_c | before_c]] = True
+    return S[np.flatnonzero(found)].tolist()
 
 
 def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
@@ -378,11 +399,15 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
 
     def two_opt(a):
         p = pos[a]
+        near = nbd[a][0]
         for step, back in ((1, 0), (-1, 1)):   # a's successor edge, then its predecessor edge
             if not 0 <= p + step < m:
                 continue
-            b = seq[p + step]
             dab = E[p - back]
+            if near >= dab:                     # the loop below would stop at its first c
+                continue
+            b = seq[p + step]
+            xb, yb = xs[b], ys[b]
             for c, dac in zip(nbr[a], nbd[a]):
                 if dac >= dab:
                     break
@@ -392,12 +417,15 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
                 e = seq[q + step]
                 if c == b or e == a:
                     continue
-                dbe = d(b, e)
+                dx = xb - xs[e]
+                dy = yb - ys[e]
+                dbe = math.sqrt(dx * dx + dy * dy)
                 if (dac + dbe) - (dab + E[q - back]) < -_IMPROVE_EPS:
                     lo, hi = (p, q) if p < q else (q, p)
                     lo, hi = lo + 1 - back, hi - back
-                    seq[lo:hi + 1] = seq[lo:hi + 1][::-1]
-                    E[lo:hi] = E[lo:hi][::-1]
+                    # lo >= 1: p and q both have a neighbour on the step side
+                    seq[lo:hi + 1] = seq[hi:lo - 1:-1]
+                    E[lo:hi] = E[hi - 1:lo - 1:-1]
                     E[lo - 1], E[hi] = (dbe, dac) if back else (dac, dbe)
                     place(lo, hi)
                     return a, b, c, e
@@ -426,6 +454,7 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
             dpn = math.sqrt(dpn)
             gain = cut - dpn
             t = seq[j] if i == p else seq[i]      # the end away from a
+            xt, yt = xs[t], ys[t]
             move = None
             for c, dac in zip(nbr[a], nbd[a]):
                 if dac >= gain:
@@ -434,13 +463,17 @@ def _local_search(X: np.ndarray, Y: np.ndarray, seq: list[int], budget: int,
                 # c, a .. t, w: between c and its successor w
                 if q <= i - 2 or j < q < m - 1:
                     w = seq[q + 1]
-                    if ((dac + d(t, w)) - E[q]) - gain < -_IMPROVE_EPS:
+                    dx = xt - xs[w]
+                    dy = yt - ys[w]
+                    if ((dac + math.sqrt(dx * dx + dy * dy)) - E[q]) - gain < -_IMPROVE_EPS:
                         move = q, i == p          # (insert after, keep path order)
                         break
                 # w, t .. a, c: between c's predecessor w and c
                 if 0 < q < i or q > j + 1:
                     w = seq[q - 1]
-                    if ((d(w, t) + dac) - E[q - 1]) - gain < -_IMPROVE_EPS:
+                    dx = xs[w] - xt
+                    dy = ys[w] - yt
+                    if ((math.sqrt(dx * dx + dy * dy) + dac) - E[q - 1]) - gain < -_IMPROVE_EPS:
                         move = q - 1, i != p
                         break
             if move is None:

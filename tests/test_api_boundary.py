@@ -1,7 +1,9 @@
 """Malformed values at the stream and planner boundaries of the library, one
-argument at a time: `DemandStream(env, seed, demands)`, `longest_chain_fast`
-and `build_reach_graph` return normally or raise a `guardsim.errors`
-exception, never a bare TypeError, AttributeError or the like."""
+argument at a time: `DemandStream(env, seed, demands)`, `longest_chain_fast`,
+`build_reach_graph`, `g_map`, `g_inv`, `intercept_time`, `emhp_exact`,
+`emhp_heuristic` and `TmhpInstance` -> `tmhp_solve` return normally or raise
+a `guardsim.errors` exception, never a bare TypeError, AttributeError or the
+like."""
 import dataclasses
 import math
 import sys
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardsim import (ContractViolationError, Demand, DemandStream, ParameterDomainError,
-                      RegimeError, SizeLimitError, VehicleState, build_reach_graph,
-                      longest_chain_fast, make_env)
+                      RegimeError, SizeLimitError, TmhpInstance, VehicleState,
+                      build_reach_graph, emhp_exact, emhp_heuristic, g_inv, g_map,
+                      intercept_time, longest_chain_fast, make_env, tmhp_solve)
 
 GUARDSIM_ERRORS = (ContractViolationError, ParameterDomainError, RegimeError, SizeLimitError)
 
@@ -83,3 +86,70 @@ def test_planner_with_a_malformed_argument(data, value, where, planner):
         args[where] = value
     _returns_or_raises_a_guardsim_error(planner, args["vehicle"], args["demands"],
                                         args["v"], args["L"])
+
+
+# the moving-target boundary: two points, a speed, and a path s -> points -> f
+POINTS = [(1.0, 2.0), (3.0, 3.0), (2.0, 0.5)]
+PATH = {"s": (0.0, 5.0), "points": POINTS, "f": (4.0, 1.0)}
+
+
+def _bad_point(data, point, value):
+    """value in place of point, or of one of its coordinates."""
+    if data.draw(st.booleans(), label="whole point"):
+        return value
+    k = data.draw(st.integers(0, 1), label="coordinate")
+    return point[:k] + (value,) + point[k + 1:]
+
+
+def _bad_path(data, value, where):
+    """PATH with s, f, the points, one point or one coordinate replaced by value."""
+    args = dict(PATH)
+    if where == "point":
+        k = data.draw(st.integers(0, len(POINTS) - 1), label="point")
+        args["points"] = POINTS[:k] + [_bad_point(data, POINTS[k], value)] + POINTS[k + 1:]
+    elif where == "points":
+        args["points"] = value
+    else:
+        args[where] = _bad_point(data, args[where], value)
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=MALFORMED, where=st.sampled_from(["point", "v"]),
+       fn=st.sampled_from([g_map, g_inv]))
+def test_g_map_with_a_malformed_argument(data, value, where, fn):
+    point = _bad_point(data, (1.0, 2.0), value) if where == "point" else (1.0, 2.0)
+    _returns_or_raises_a_guardsim_error(fn, point, value if where == "v" else 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=MALFORMED,
+       where=st.sampled_from(["vehicle", "target_initial", "v"]))
+def test_intercept_time_with_a_malformed_argument(data, value, where):
+    args = {"vehicle": (0.0, 1.0), "target_initial": (2.0, 0.0), "v": 0.5}
+    args[where] = value if where == "v" else _bad_point(data, args[where], value)
+    _returns_or_raises_a_guardsim_error(intercept_time, args["vehicle"],
+                                        args["target_initial"], args["v"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=MALFORMED,
+       where=st.sampled_from(["s", "f", "points", "point"]),
+       solver=st.sampled_from([emhp_exact, emhp_heuristic]))
+def test_path_solver_with_a_malformed_argument(data, value, where, solver):
+    args = _bad_path(data, value, where)
+    _returns_or_raises_a_guardsim_error(solver, args["s"], args["points"], args["f"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=MALFORMED,
+       where=st.sampled_from(["s", "f", "points", "point", "v", "instance"]))
+def test_tmhp_solve_with_a_malformed_argument(data, value, where):
+    def build_and_solve():
+        if where == "instance":
+            return tmhp_solve(value)
+        args = _bad_path(data, value, where) if where != "v" else dict(PATH)
+        return tmhp_solve(TmhpInstance(args["s"], args["points"], args["f"],
+                                       value if where == "v" else 0.5))
+
+    _returns_or_raises_a_guardsim_error(build_and_solve)

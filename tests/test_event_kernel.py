@@ -41,6 +41,10 @@ from ._oracles import ReferenceKernel, check_trace, gp_choice, lattice_stream
 
 DEADLINE_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=0.25)
 STRIP_ENV = make_env(W=100.0, L=25.0, v=0.05, lam=1.6)
+# the benchmark's tf_dense geometry: plans of about 3 250 points, so the
+# large-n heuristic (neighbour lists, flat pair scans, 2-opt and Or-opt) is
+# pinned bit for bit
+TF_DENSE_ENV = make_env(W=100, L=200, v=0.05, lam=1.6)
 
 # (name, policy run, n_capt, n_esc, SHA-256 of the JSONL trace); NCLP plans
 # with the chain at both sizes (nclp_graph is named for a graph DP, now the
@@ -62,6 +66,9 @@ GOLDEN = [
     ("tf", lambda: run_tf(generate_stream(STRIP_ENV, 600, seed=7), trace=True),
      403, 197,
      "52e640dc17e0d92c06a14fe0e5a49561f79be2409ac1bc6b0d89f5b000ba7636"),
+    ("tf_large", lambda: run_tf(generate_stream(TF_DENSE_ENV, 20000, seed=0), trace=True),
+     10907, 9093,
+     "239e76ea57887b9eabc0b6860aef9a15b0b003d98f7c171aca06b4a01bd08237"),
 ]
 
 
@@ -338,6 +345,16 @@ def test_tf_start_at_the_strip_corners():
     for start in ((0.0, 0.0), (100.0, 200.0), [100, 0]):
         res = run_tf(s, start=start, trace=True)
         assert res.trace[0].vehicle_x == start[0] and res.n_resolved == 50
+
+
+@pytest.mark.parametrize("runner, v", [(run_nclp, 2.0), (run_lp, 2.0), (run_gp, 2.0),
+                                       (run_tf, 0.05)])
+@pytest.mark.parametrize("trace", ["no", "", 1, 0, None], ids=repr)
+def test_trace_must_be_a_bool(runner, v, trace):
+    # any truthy value once kept a trace, "no" among them
+    s = generate_stream(make_env(W=10.0, L=20.0, v=v, lam=1.0), 50, seed=0)
+    with pytest.raises(ParameterDomainError, match="trace"):
+        runner(s, trace=trace)
 
 
 def test_kernel_rejects_a_capture_of_a_demand_not_outstanding():

@@ -328,20 +328,61 @@ def test_neighbours_equal_brute_force(n, seed, grid, spread):
     assert dist.tolist() == [[dc for dc, _ in row] for row in brute]
 
 
+def _shuffled_lattice(nx, ny, seed):
+    pts = [(float(i), float(j)) for i in range(nx) for j in range(ny)]
+    return np.random.default_rng(seed).permutation(np.array(pts))
+
+
+# from (0, 0): one point at each distance 1..9, then four at distance 10,
+# so only the tie at slot 10 and beyond decides the list
+_STRADDLE = np.random.default_rng(0).permutation(np.array(
+    [(0.0, 0.0)] + [(float(i), 0.0) for i in range(1, 10)]
+    + [(0.0, 10.0), (-10.0, 0.0), (0.0, -10.0), (10.0, 0.0)]))
+_CLUSTER_AND_FAR = np.vstack([np.random.default_rng(4).random((40, 2)),
+                              [(100.0, 100.0), (100.0, 0.0), (0.0, 100.0)]])
+
+
+@pytest.mark.parametrize("pts, k", [
+    (_STRADDLE, 10),                         # distinct distances, then a tie across slot 10
+    (_shuffled_lattice(7, 7, 0), 10),        # distance 2 fills slots 9-12 of inner points
+    (_shuffled_lattice(7, 7, 1), 6),         # distance sqrt(2) fills slots 5-8
+    (_shuffled_lattice(7, 7, 2), 4),         # four at distance 1: slot 5 differs, 1-4 tie
+    (_shuffled_lattice(9, 9, 3), 65),        # complete lists of a lattice
+    (np.array([(3.0, 4.0)] * 30), 10),       # every distance 0
+    (_shuffled_lattice(2, 3, 5), 10),        # k cut to 5: each row has exactly k others
+    (_CLUSTER_AND_FAR, 10),                  # the far points see too few near candidates
+], ids=["straddle", "tie-at-k", "tie-at-k-small", "ties-inside-k", "complete", "identical",
+        "short-rows", "far-points"])
+def test_neighbours_ties_and_short_rows_equal_brute_force(pts, k):
+    idx, dist = _neighbours(pts[:, 0], pts[:, 1], k)
+    brute = knn_brute(pts, k)
+    assert idx.tolist() == [[c for _, c in row] for row in brute]
+    assert dist.tolist() == [[dc for dc, _ in row] for row in brute]
+
+
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(3, 300), seed=st.integers(0, 2**32 - 1), grid=_GRIDS)
-def test_improvable_nodes_match_oracle(n, seed, grid):
-    # on the nearest-neighbor start: the nodes the vectorised scan flags are
-    # those with an improving candidate move, at the kernel's own threshold
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), grid=_GRIDS, complete=st.booleans())
+def test_improvable_nodes_match_oracle(data, seed, grid, complete):
+    # on the nearest-neighbor start, and on it after a few segment
+    # reversals: the nodes the vectorised scan flags are those with an
+    # improving candidate move, at the kernel's own threshold; lists of the
+    # 10 nearest, or complete lists (k = n + 1) up to 64 points
+    n = data.draw(st.integers(3, 64 if complete else 300), label="n")
+    k = n + 1 if complete else 10
     pts = _cloud(n, seed, grid)
     s, f = pts.pop(), pts.pop()
     coords = np.array([s] + pts + [f])
     seq = emhp_nn_start(s, pts, f)
+    for _ in range(data.draw(st.integers(0, 4), label="reversals")):
+        i = data.draw(st.integers(1, n), label="i")
+        j = data.draw(st.integers(i, n), label="j")
+        seq[i:j + 1] = seq[i:j + 1][::-1]
     E = [fold_length(coords, [a, b]) for a, b in zip(seq, seq[1:])]
-    nbr, nbd = _neighbours(coords[:, 0], coords[:, 1], 10)
+    nbr, nbd = _neighbours(coords[:, 0], coords[:, 1], k)
     flagged = _improvable(coords[:, 0], coords[:, 1], seq, E, nbr, nbd)
-    moves = improving_candidate_moves(coords, seq, tol=1e-12)
+    moves = improving_candidate_moves(coords, seq, k=k, tol=1e-12)
     assert set(flagged) == {a for _, a, _, _ in moves}
+    assert flagged == [a for a in seq if a in flagged]      # in path order
 
 
 def test_heuristic_length_within_one_percent_of_dense_reference():
