@@ -36,6 +36,10 @@ def lp_lower_bound(lam: float, W: float) -> float:
     """
     require_positive(lam=lam, W=W)
     alpha = lam * W / 2.0
+    if alpha == math.inf:
+        # erf(sqrt(alpha)) is 1 and exp(-alpha) is 0 long before lam*W
+        # overflows, so the bound is 1/sqrt(pi*alpha), taken in factors
+        return 1.0 / _SQRT_PI / (math.sqrt(lam) * math.sqrt(W / 2.0))
     root = math.sqrt(alpha)
     return 1.0 / (_SQRT_PI * root * erf(root) + math.exp(-alpha))
 

@@ -65,6 +65,11 @@ def write_trace_jsonl(result: RunResult, path: str) -> None:
     write_jsonl((ev.to_dict() for ev in result.trace), path)
 
 
+# one mark per stream position; every position is open until it resolves
+_OPEN, _PROTECTED, _RESOLVED = 0, 1, 2
+_OPEN_BYTE, _RESOLVED_BYTE = bytes((_OPEN,)), bytes((_RESOLVED,))
+
+
 class _EventKernel:
     """Event bookkeeping shared by both regimes; a policy adds its planner.
 
@@ -73,18 +78,23 @@ class _EventKernel:
     position k in the stream, and a trace event names ids[k].  It admits
     the arrivals and fires the escapes in time order while the policy moves
     the vehicle along motion legs and captures.  It alone owns a demand's
-    state: the positions of the outstanding demands (`outstanding`, a dict
-    kept in arrival order, on which GP's scan relies), the protected
-    positions, two cursors into the stream, the current leg, the counters
-    and the trace.  Arrivals increase strictly, and each demand escapes L/v
+    state, which is two cursors into the stream plus one mark per position
+    (open, protected or resolved), with the current leg, the counters and
+    the trace.  Arrivals increase strictly, and each demand escapes L/v
     after it arrives, so escapes come in arrival order too: `arrived`
-    counts the demands admitted so far, and a second cursor counts those
-    whose escape instant has passed.  Each `advance` finds the window of
+    counts the demands admitted so far, and `_passed` counts those whose
+    escape instant has passed.  Each `advance` finds the window of
     arrivals and the window of escapes it crosses by bisection over the
     arrival instants and the escape instants t_arr + L/v, which are
-    computed once per run (one stream may serve several environments).
-    Traced and untraced runs change the state alike; a kept trace only
-    adds the window's events, merged in the order below.
+    computed once per run (one stream may serve several environments), and
+    counts and resolves the open marks of its escape window in a few
+    `bytearray` operations.  A position is outstanding once it has arrived
+    and until it resolves; `outstanding` lists them in arrival order.  On
+    the deadline every capture falls on an escape instant, so that list is
+    `range(_passed, arrived)`; TF captures before escape instants and
+    leaves resolved holes above `_passed`.  Traced and untraced runs change
+    the state alike; a kept trace only adds the events, merged in the
+    order below.
 
     A leg is (t0, x_from, x_to, dur).  On the deadline (v >= 1) the vehicle
     slides at unit speed, x = x_from +- (t - t0), and waits at x_to from
@@ -120,13 +130,31 @@ class _EventKernel:
         self._t_esc = [t + l_v for t in self._t_arr]
         self.arrived = 0              # position arrived arrives next
         self._passed = 0              # positions below _passed are past their escape instant
-        self.outstanding: dict[int, None] = {}
-        self.protected: set[int] = set()
+        self._mark = bytearray(len(self._t_arr))
         self.events: list[TraceEvent] | None = [] if trace else None
         self.n_capt = 0
         self.n_esc = 0
         x0 = self.start[0]
         self.leg = (0.0, x0, x0, 0.0)
+
+    @property
+    def outstanding(self):
+        """Positions of the outstanding demands, in arrival order."""
+        ks = range(self._passed, self.arrived)
+        if self.strip:
+            mark = self._mark
+            return [k for k in ks if mark[k] != _RESOLVED]
+        return ks
+
+    def is_outstanding(self, k: int) -> bool:
+        return 0 <= k < self.arrived and self._mark[k] != _RESOLVED
+
+    def protect(self, k: int) -> None:
+        """Keep the outstanding demand at position k from escaping until
+        it is captured."""
+        if not self.is_outstanding(k):
+            raise ContractViolationError(f"demand {self.stream.ids[k]} is not outstanding")
+        self._mark[k] = _PROTECTED
 
     def _x_at(self, t: float) -> float:
         t0, x_from, x_to, dur = self.leg
@@ -138,27 +166,32 @@ class _EventKernel:
             return x_to
         return x_from + math.copysign(t - t0, x_to - x_from)
 
-    def advance(self, t_end: float, inclusive_arrivals: bool) -> None:
-        """Fire escapes through t_end and arrivals before it (through it if
-        inclusive_arrivals), in time order."""
+    def _move(self, t_end: float, inclusive_arrivals: bool):
+        """Move both cursors to t_end and resolve the escapes they pass;
+        returns the escaped positions when a trace is kept."""
         a0, p0 = self.arrived, self._passed
         a1 = (bisect_right if inclusive_arrivals else bisect_left)(self._t_arr, t_end, a0)
         p1 = bisect_right(self._t_esc, t_end, p0, a1)       # only admitted demands escape
-        outstanding = self.outstanding
-        if a1 > a0:
-            self.arrived = a1
-            for k in range(a0, a1):
-                outstanding[k] = None
-        fired = ()
-        if p1 > p0:
-            self._passed = p1
-            protected = self.protected
-            fired = [k for k in range(p0, p1) if k in outstanding and k not in protected]
-            for k in fired:
-                del outstanding[k]
-            self.n_esc += len(fired)
+        self.arrived = a1
+        if p1 == p0:
+            return ()
+        self._passed = p1
+        mark = self._mark
+        n = mark.count(_OPEN, p0, p1)
+        if not n:
+            return ()
+        fired = () if self.events is None else [k for k in range(p0, p1) if mark[k] == _OPEN]
+        mark[p0:p1] = mark[p0:p1].replace(_OPEN_BYTE, _RESOLVED_BYTE)
+        self.n_esc += n
+        return fired
+
+    def advance(self, t_end: float, inclusive_arrivals: bool) -> None:
+        """Fire escapes through t_end and arrivals before it (through it if
+        inclusive_arrivals), in time order."""
+        a0 = self.arrived
+        fired = self._move(t_end, inclusive_arrivals)
         if self.events is not None:
-            self._log(a0, a1, fired)
+            self._log(a0, self.arrived, fired)
 
     def _log(self, a0: int, a1: int, fired) -> None:
         """Trace the arrivals of positions a0..a1-1 and the escapes of fired,
@@ -178,14 +211,59 @@ class _EventKernel:
     def capture(self, k: int, t: float) -> None:
         """Capture the outstanding demand at position k at t; the vehicle is
         then at its abscissa."""
-        if k not in self.outstanding:
+        if not self.is_outstanding(k):
             raise ContractViolationError(
                 f"demand {self.stream.ids[k]} is not outstanding at t={t}")
-        del self.outstanding[k]
-        self.protected.discard(k)
+        self._mark[k] = _RESOLVED
         self.n_capt += 1
         if self.events is not None:
             self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
+
+    def commit(self, ks: list[int], t: float, x: float):
+        """Capture the positions ks in order, each on its deadline: slide to
+        its abscissa and wait.  Returns the vehicle's (t, x) afterwards.
+
+        The capture instants are fixed, so the commit is one cursor move to
+        the last of them with ks protected.  A kept trace logs the move's
+        window per capture: that capture's leg, the escapes at or before
+        its instant and the arrivals strictly before it, then the capture,
+        as a capture-by-capture walk would.  Each position must arrive
+        before its capture instant and be unresolved, once in ks, with
+        instants that never decrease; otherwise ContractViolationError,
+        before any state changes."""
+        if not ks:
+            return t, x
+        t_arr, t_esc, mark = self._t_arr, self._t_esc, self._mark
+        n, arrived, t_k = len(mark), self.arrived, t
+        for i, k in enumerate(ks):
+            if not (0 <= k < n and mark[k] == _OPEN and t_k <= t_esc[k]
+                    and (k < arrived or t_arr[k] < t_esc[k])):
+                for j in ks[:i]:
+                    mark[j] = _OPEN
+                raise ContractViolationError(
+                    f"cannot commit position {k} at t={t}: not outstanding before its "
+                    f"capture instant, repeated, or captured out of time order")
+            mark[k] = _PROTECTED
+            t_k = t_esc[k]
+        a, p = self.arrived, self._passed
+        fired = self._move(t_k, False)
+        if self.events is not None:
+            ids, xs, events, i = self.stream.ids, self.stream.x, self.events, 0
+            for k in ks:        # the cursors of advance(t_k, False), capture(k, t_k)
+                t_k, x_k = t_esc[k], xs[k]
+                self.leg = (t, x, x_k, abs(x_k - x))
+                a_k = bisect_left(t_arr, t_k, a)
+                p = bisect_right(t_esc, t_k, p, a_k)
+                j = bisect_left(fired, p, i)
+                self._log(a, a_k, fired[i:j])
+                events.append(TraceEvent(t_k, "capture", ids[k], x_k))
+                a, i, t, x = a_k, j, t_k, x_k
+        for k in ks:
+            mark[k] = _RESOLVED
+        self.n_capt += len(ks)
+        t, x = t_esc[ks[-1]], self.stream.x[ks[-1]]
+        self.leg = (t, x, x, 0.0)
+        return t, x
 
     def recompute(self, t: float, x: float) -> None:
         if self.events is not None:
@@ -218,21 +296,6 @@ def _check_start(env, start, strip: bool) -> tuple:
     return tuple(map(float, p))
 
 
-def _execute(sim: _EventKernel, commit: list[int], t: float, x: float):
-    """Capture the committed positions in order, each on its deadline:
-    slide to its abscissa and wait.  Returns the vehicle's (t, x) afterwards."""
-    t_arr, xs, l_v = sim.stream.t_arr, sim.stream.x, sim.l_v
-    sim.protected.update(commit)
-    for k in commit:
-        t_cap, x_k = t_arr[k] + l_v, xs[k]
-        sim.leg = (t, x, x_k, abs(x_k - x))
-        sim.advance(t_cap, False)
-        sim.capture(k, t_cap)
-        t, x = t_cap, x_k
-    sim.leg = (t, x, x, 0.0)
-    return t, x
-
-
 def _run(sim: _EventKernel, planner) -> RunResult:
     """Replan after every commit and every arrival until the stream resolves.
 
@@ -247,7 +310,7 @@ def _run(sim: _EventKernel, planner) -> RunResult:
         waiting = sim.arrived
         sim.advance(t, True)
         if commit:
-            t, x = _execute(sim, commit, t, x)
+            t, x = sim.commit(commit, t, x)
         elif sim.arrived == waiting:          # nothing new: idle or done
             if sim.arrived == len(t_arr):
                 return sim.finish()
@@ -264,7 +327,7 @@ def run_nclp(stream: DemandStream, start_x: float | None = None,
     plan = _chain(x0, 0.0, range(len(stream)), stream.t_arr, stream.x, stream.ids, sim.l_v)
     sim.recompute(0.0, x0)
     sim.advance(0.0, True)
-    _execute(sim, plan, 0.0, x0)
+    sim.commit(plan, 0.0, x0)
     return sim.finish()
 
 
@@ -279,9 +342,10 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
     t_arr, xs, ids, l_v = stream.t_arr, stream.x, stream.ids, sim.l_v
 
     def planner(t, x):
-        if not sim.outstanding:
+        ks = sim.outstanding
+        if not ks:
             return []
-        plan = _chain(x, t, list(sim.outstanding), t_arr, xs, ids, l_v)
+        plan = _chain(x, t, ks, t_arr, xs, ids, l_v)
         return plan[:math.ceil(eta * len(plan))]
 
     return _run(sim, planner)
@@ -290,9 +354,11 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
 def run_gp(stream: DemandStream, start_x: float | None = None,
            trace: bool = False) -> RunResult:
     """Greedy path: chase the reachable demand with the earliest deadline,
-    the smallest id among equal ones.  `outstanding` is in arrival order,
-    so deadlines never decrease along it and the scan stops past the first
-    reachable one: O(k) for the k demands up to there, usually a few."""
+    the smallest id among equal ones.  The kernel's `outstanding` is the
+    range of positions from the first unpassed escape to the last arrival,
+    in arrival order, so deadlines never decrease along it and the scan
+    stops past the first reachable one: O(k) for the k demands up to
+    there, usually a few."""
     sim = _EventKernel(stream, start_x, trace)
     t_arr, xs, ids, l_v = stream.t_arr, stream.x, stream.ids, sim.l_v
 

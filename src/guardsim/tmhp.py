@@ -677,7 +677,7 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
         t_stop = t + L / (2.0 * v)
 
         for k in targets:
-            if k not in sim.outstanding:
+            if not sim.is_outstanding(k):
                 continue          # escaped at the budget boundary mid-path
             now = (xs[k], v * (t - t_arr[k]))
             T = _intercept_time(pos, now, v)
@@ -685,7 +685,7 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
             aim = (xs[k], now[1] + v * T)
             sim.leg = (t, pos[0], aim[0], T)
             if t_meet <= t_stop:
-                sim.protected.add(k)
+                sim.protect(k)
                 sim.advance(t_meet, False)
                 sim.capture(k, t_meet)
                 pos, t = aim, t_meet

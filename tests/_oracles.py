@@ -29,11 +29,11 @@ from guardsim.deadline_policies import _check_start
 # random inputs
 
 
-def lattice_stream(data, env, max_size=8):
-    """Draw, with hypothesis's `data`, a stream on the 0.5 lattice: at most
-    max_size arrivals among 0, 0.5, ..., 20 at abscissae 0, 0.5, ..., W.
+def lattice_stream(data, env, max_size=8, min_size=0):
+    """Draw, with hypothesis's `data`, a stream on the 0.5 lattice: min_size
+    to max_size arrivals among 0, 0.5, ..., 20 at abscissae 0, 0.5, ..., W.
     Deadlines and reach checks are then exact, and events often coincide."""
-    ks = sorted(data.draw(st.sets(st.integers(0, 40), max_size=max_size)))
+    ks = sorted(data.draw(st.sets(st.integers(0, 40), min_size=min_size, max_size=max_size)))
     xs = data.draw(st.lists(st.integers(0, int(2 * env.W)),
                             min_size=len(ks), max_size=len(ks)))
     return DemandStream(env, 0, [Demand(i, 0.5 * k, 0.5 * x)
@@ -586,14 +586,17 @@ class ReferenceKernel:
     """The event kernel as the `_EventKernel` docstring defines it, naively.
 
     It has the interface the policies use (`env`, `start`, `stream`, `l_v`,
-    `arrived`, `outstanding`, `protected`, `leg`, `advance`, `capture`,
-    `recompute`, `finish`), names a demand by its position in the stream,
-    keeps one state per position and finds each next event in `advance` by
-    scanning every position, O(n) per event.  An event is the earliest of:
-    the escape, at t_arr + L/v, of an outstanding demand that is not
-    protected, and the arrival of a demand not yet arrived.  At one instant
-    an escape comes first, and escapes go in arrival order.  Vehicle
-    abscissae come from the two documented leg formulas.
+    `arrived`, `outstanding`, `is_outstanding`, `protect`, `leg`, `advance`,
+    `capture`, `commit`, `recompute`, `finish`), names a demand by its
+    position in the stream, keeps one state per position and finds each
+    next event in `advance` by scanning every position, O(n) per event.  An
+    event is the earliest of: the escape, at t_arr + L/v, of an outstanding
+    demand that is not protected, and the arrival of a demand not yet
+    arrived.  At one instant an escape comes first, and escapes go in
+    arrival order.  Vehicle abscissae come from the two documented leg
+    formulas.  `commit` walks its captures one at a time: it protects them
+    all, then slides to each one's abscissa, advances to its deadline and
+    captures it.
     """
 
     def __init__(self, stream, start, trace, strip=False):
@@ -654,8 +657,16 @@ class ReferenceKernel:
                 self.events.append(TraceEvent(t, ("escape", "arrival")[kind],
                                               self.stream.ids[k], self._x_at(t)))
 
+    def is_outstanding(self, k):
+        return self.state[k] == "outstanding"
+
+    def protect(self, k):
+        if not self.is_outstanding(k):
+            raise ContractViolationError(f"demand {self.stream.ids[k]} is not outstanding")
+        self.protected.add(k)
+
     def capture(self, k, t):
-        if self.state[k] != "outstanding":
+        if not self.is_outstanding(k):
             raise ContractViolationError(
                 f"demand {self.stream.ids[k]} is not outstanding at t={t}")
         self.state[k] = "captured"
@@ -664,6 +675,17 @@ class ReferenceKernel:
         self.n_capt += 1
         if self.events is not None:
             self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
+
+    def commit(self, ks, t, x):
+        self.protected.update(ks)           # NCLP commits demands yet to arrive
+        for k in ks:
+            t_cap, x_k = self.stream.t_arr[k] + self.l_v, self.stream.x[k]
+            self.leg = (t, x, x_k, abs(x_k - x))
+            self.advance(t_cap, False)
+            self.capture(k, t_cap)
+            t, x = t_cap, x_k
+        self.leg = (t, x, x, 0.0)
+        return t, x
 
     def recompute(self, t, x):
         if self.events is not None:

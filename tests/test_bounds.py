@@ -1,5 +1,6 @@
 """Error function accuracy and the analytical capture-fraction bounds."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,26 @@ def test_lp_lower_bound_examples():
     expect = 1.0 / (math.sqrt(math.pi) * erf_exact_rational(1.0) + math.exp(-1.0))
     assert abs(expect - 0.5372) < 5e-5
     assert abs(lp_lower_bound(2.0, 1.0) - expect) < 1e-12
+
+
+def test_lp_lower_bound_where_lam_w_overflows():
+    # lam*W/2 overflows while lam and W are finite: erf(sqrt(alpha)) is 1
+    # and exp(-alpha) is 0, so the bound is 1/sqrt(pi*alpha); it does not
+    # jump where the product starts to overflow
+    big = 1e200
+    assert math.isinf(big * big / 2.0)
+    expect = 1.0 / math.sqrt(math.pi * (big / 2.0)) / math.sqrt(big)
+    assert lp_lower_bound(big, big) == pytest.approx(expect, rel=1e-14)
+    top = lp_lower_bound(sys.float_info.max, sys.float_info.max)
+    assert 0.0 < top < sys.float_info.min            # subnormal, not 0
+    lam = sys.float_info.max / 1e154             # the last lam with lam*1e154 finite
+    while math.isfinite(math.nextafter(lam, math.inf) * 1e154):
+        lam = math.nextafter(lam, math.inf)
+    while not math.isfinite(lam * 1e154):
+        lam = math.nextafter(lam, 0.0)
+    below = lp_lower_bound(lam, 1e154)
+    above = lp_lower_bound(math.nextafter(lam, math.inf), 1e154)
+    assert 0.0 < above <= below and above == pytest.approx(below, rel=1e-14)
 
 
 def test_lp_lower_bound_strictly_decreasing():

@@ -45,6 +45,16 @@ def test_bounds_subcommand(capsys):
     assert set(out) == {"causal_upper_bound", "tf_lower_bound"}
 
 
+def test_simulate_where_lam_w_overflows(capsys):
+    # lam*W/2 overflows a float; the LP bound is still a finite number
+    rc = main(["simulate", "--policy", "nclp", "--v", "2", "--W", "1e200", "--L", "1e300",
+               "--lam", "1e200", "--n-demands", "3", "--runs", "1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["bounds"]["lp_lower_bound"] == lp_lower_bound(1e200, 1e200) > 0.0
+    assert 0.0 <= out["mean"] <= 1.0
+
+
 def test_gen_stream_file_and_stdout(tmp_path, capsys):
     path = str(tmp_path / "s.jsonl")
     rc = main(["gen-stream", "--W", "10", "--L", "20", "--v", "2", "--lam", "1",

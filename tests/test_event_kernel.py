@@ -213,10 +213,10 @@ def test_tf_escape_at_capture_instant():
 FAST_VL = [(1.0, 1.0), (1.0, 2.5), (2.0, 5.0)]
 SLOW_VL = [(0.5, 2.0), (0.5, 4.0)]
 LATTICE_RUNS = {
-    "nclp": lambda s, x0, eta: run_nclp(s, start_x=x0, trace=True),
-    "lp": lambda s, x0, eta: run_lp(s, start_x=x0, eta=eta, trace=True),
-    "gp": lambda s, x0, eta: run_gp(s, start_x=x0, trace=True),
-    "tf": lambda s, x0, eta: run_tf(s, start=(x0, s.env.L / 2.0), trace=True),
+    "nclp": lambda s, x0, eta, trace=True: run_nclp(s, start_x=x0, trace=trace),
+    "lp": lambda s, x0, eta, trace=True: run_lp(s, start_x=x0, eta=eta, trace=trace),
+    "gp": lambda s, x0, eta, trace=True: run_gp(s, start_x=x0, trace=trace),
+    "tf": lambda s, x0, eta, trace=True: run_tf(s, start=(x0, s.env.L / 2.0), trace=trace),
 }
 
 
@@ -266,6 +266,29 @@ def test_escape_ties_fire_in_arrival_order(policy, data):
     resolved = check_trace([e.to_dict() for e in res.trace], ESCAPE_TIE_ENV, stream,
                            start=(x0,))
     assert len(resolved) == len(stream) == res.n_capt + res.n_esc
+
+
+@pytest.mark.parametrize("policy", sorted(LATTICE_RUNS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_untraced_runs_count_as_traced_runs(policy, data):
+    # an untraced deadline commit is one cursor move, a traced one also logs
+    # each capture's part of it; the benchmark runs untraced, the other
+    # tests traced, so the two must resolve every demand alike.  Half or
+    # more of the 41 lattice instants see an arrival, so arrivals often fall
+    # on capture instants, where the two could part
+    if policy != "tf" and data.draw(st.booleans()):
+        stream, x0 = _escape_tie_stream(data), 0.5 * data.draw(st.integers(0, 20))
+    else:
+        v, L = data.draw(st.sampled_from(SLOW_VL if policy == "tf" else FAST_VL))
+        env = make_env(W=5.0, L=L, v=v, lam=1.0)
+        stream = _shuffled_ids(data, lattice_stream(data, env, max_size=41, min_size=20))
+        x0 = 0.5 * data.draw(st.integers(0, 10))
+    eta = data.draw(st.sampled_from([0.5, 1.0]))
+    traced = LATTICE_RUNS[policy](stream, x0, eta)
+    untraced = LATTICE_RUNS[policy](stream, x0, eta, trace=False)
+    assert untraced.trace is None
+    assert (untraced.n_capt, untraced.n_esc) == (traced.n_capt, traced.n_esc)
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,6 +391,43 @@ def test_kernel_rejects_a_capture_of_a_demand_not_outstanding():
     sim.advance(2.0, True)
     with pytest.raises(ContractViolationError, match="demand 1"):
         sim.capture(1, 2.0)               # has not arrived yet
+    # a commit is checked whole before it changes any state, traced or not
+    for trace in (False, True):
+        _check_commit_contract(trace)
+
+
+def _kernel_state(sim):
+    return (sim.arrived, sim._passed, bytes(sim._mark), sim.n_capt, sim.n_esc, sim.leg,
+            repr(sim.events))
+
+
+def _check_commit_contract(trace):
+    # L/v = 250: the deadlines are 251, 253 and 255; demand 0 is resolved
+    s = DemandStream(DEADLINE_ENV, 0, [Demand(0, 1.0, 50.0), Demand(1, 3.0, 70.0),
+                                       Demand(2, 5.0, 60.0)])
+    sim = _EventKernel(s, None, trace)
+    sim.advance(3.0, True)
+    sim.capture(0, 10.0)
+    before = _kernel_state(sim)
+    for ks in ([1, 0],                    # 0 is already resolved
+               [1, 1], [1, 2, 1],         # 1 appears twice
+               [2, 1],                    # capture instants go back in time
+               [1, 3], [-1]):             # no such position
+        with pytest.raises(ContractViolationError, match="commit"):
+            sim.commit(ks, 3.0, 70.0)
+        assert _kernel_state(sim) == before
+    # demand 2 has not arrived at t = 3, but it arrives before its capture
+    # instant, as NCLP's demands do
+    assert sim.commit([1, 2], 3.0, 70.0) == (255.0, 60.0)
+    assert (sim.n_capt, sim.arrived, sim.finish().n_esc) == (3, 3, 0)
+    # L/v below half an ulp of t_arr: the demand escapes as it arrives, so it
+    # cannot arrive before its capture instant
+    env = make_env(W=10.0, L=2.0 ** -60, v=1.0, lam=1.0)
+    sim = _EventKernel(DemandStream(env, 0, [Demand(0, 1.0, 5.0)]), None, trace)
+    before = _kernel_state(sim)
+    with pytest.raises(ContractViolationError, match="commit"):
+        sim.commit([0], 0.0, 5.0)
+    assert _kernel_state(sim) == before
 
 
 def test_one_stream_is_safe_to_share_across_policies():
