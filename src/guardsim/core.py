@@ -74,14 +74,17 @@ class DemandStream:
     The stream is three columns in arrival order, `ids`, `t_arr` and `x`
     (Python lists; times and abscissae are floats), and runs read only
     these: the event kernel and the planners name a demand by its position
-    k, and its id is ids[k].  `demands`, iteration and indexing give `Demand`
-    records, built from the columns on first use and kept; no policy run
-    asks for them.  `DemandStream(env, seed, demands)` checks every record
-    and fills the columns; `generate_stream` fills them from its arrays.
+    k, and its id is ids[k].  `arrays` holds the same columns as read-only
+    numpy arrays (t_arr, x, ids), which the kernel and the chain planner
+    read whole.  `demands`, iteration and indexing give `Demand` records;
+    no policy run asks for them.  `DemandStream(env, seed, demands)` checks
+    every record and fills the columns; `generate_stream` fills them, and
+    `arrays`, from the arrays it drew.  Whatever is not filled is built
+    from the columns on first use and kept.
 
-    Treated as immutable once built: nothing writes to the columns, and a
-    change to a record in `demands` does not reach them.  So one stream is
-    safe to share across runs.
+    Treated as immutable once built: nothing writes to the columns, the
+    arrays refuse writes, and a change to a record in `demands` does not
+    reach them.  So one stream is safe to share across runs.
     """
 
     def __init__(self, env: EnvParams, seed: int, demands=()) -> None:
@@ -99,6 +102,7 @@ class DemandStream:
         self.t_arr: list[float] = []
         self.x: list[float] = []
         self._demands: list[Demand] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         prev, W, maxsize = -math.inf, env.W, sys.maxsize   # locals: read per demand
         try:
             for d in demands:
@@ -145,6 +149,17 @@ class DemandStream:
             self._demands = list(map(Demand, self.ids, self.t_arr, self.x))
         return self._demands
 
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns (t_arr, x, ids) as read-only float64, float64 and
+        int64 arrays, built once, on first use, unless generate_stream kept
+        its own."""
+        if self._arrays is None:
+            self._arrays = _read_only(np.array(self.t_arr, dtype=float),
+                                      np.array(self.x, dtype=float),
+                                      np.array(self.ids, dtype=np.int64))
+        return self._arrays
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -183,7 +198,15 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
         return DemandStream(env, seed, list(map(Demand, range(n_demands), t_arr.tolist(),
                                                 xs.tolist())))
     stream.ids, stream.t_arr, stream.x = list(range(n_demands)), t_arr.tolist(), xs.tolist()
+    stream._arrays = _read_only(t_arr, xs, np.arange(n_demands, dtype=np.int64))
     return stream
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """arrays, each made to refuse writes."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # --- JSON files -----------------------------------------------------------

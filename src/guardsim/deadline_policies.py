@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 from .core import DemandStream, write_jsonl
 from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_number
-# the policies plan with _chain on the stream's columns; longest_chain_fast
-# stays importable here, where bench/spans.py looks it up by name
-from .reachability import _chain, longest_chain_fast  # noqa: F401
+# NCLP and LP plan with _chain on _chain_columns of the stream's arrays, made
+# once per run; longest_chain_fast stays importable here, where
+# bench/spans.py looks it up by name
+from .reachability import _chain, _chain_columns, longest_chain_fast  # noqa: F401
 
 
 @dataclass
@@ -85,8 +86,9 @@ class _EventKernel:
     counts the demands admitted so far, and `_passed` counts those whose
     escape instant has passed.  Each `advance` finds the window of
     arrivals and the window of escapes it crosses by bisection over the
-    arrival instants and the escape instants t_arr + L/v, which are
-    computed once per run (one stream may serve several environments), and
+    arrival instants and the escape instants `t_esc` = t_arr + L/v, which
+    are computed once per run from the stream's arrays (one stream may
+    serve several environments) and which GP reads too, and
     counts and resolves the open marks of its escape window in a few
     `bytearray` operations.  A position is outstanding once it has arrived
     and until it resolves; `outstanding` lists them in arrival order.  On
@@ -127,7 +129,7 @@ class _EventKernel:
         self.stream = stream
         self.l_v = l_v = env.L / env.v
         self._t_arr = stream.t_arr
-        self._t_esc = [t + l_v for t in self._t_arr]
+        self.t_esc = (stream.arrays[0] + l_v).tolist()
         self.arrived = 0              # position arrived arrives next
         self._passed = 0              # positions below _passed are past their escape instant
         self._mark = bytearray(len(self._t_arr))
@@ -171,7 +173,7 @@ class _EventKernel:
         returns the escaped positions when a trace is kept."""
         a0, p0 = self.arrived, self._passed
         a1 = (bisect_right if inclusive_arrivals else bisect_left)(self._t_arr, t_end, a0)
-        p1 = bisect_right(self._t_esc, t_end, p0, a1)       # only admitted demands escape
+        p1 = bisect_right(self.t_esc, t_end, p0, a1)       # only admitted demands escape
         self.arrived = a1
         if p1 == p0:
             return ()
@@ -197,7 +199,7 @@ class _EventKernel:
         """Trace the arrivals of positions a0..a1-1 and the escapes of fired,
         in time order: an escape before an arrival at one instant, but never
         before its own demand's arrival."""
-        ids, t_arr, t_esc = self.stream.ids, self._t_arr, self._t_esc
+        ids, t_arr, t_esc = self.stream.ids, self._t_arr, self.t_esc
         events, x_at, a = self.events, self._x_at, a0
         for k in fired:
             t_e = t_esc[k]
@@ -233,7 +235,7 @@ class _EventKernel:
         before any state changes."""
         if not ks:
             return t, x
-        t_arr, t_esc, mark = self._t_arr, self._t_esc, self._mark
+        t_arr, t_esc, mark = self._t_arr, self.t_esc, self._mark
         n, arrived, t_k = len(mark), self.arrived, t
         for i, k in enumerate(ks):
             if not (0 <= k < n and mark[k] == _OPEN and t_k <= t_esc[k]
@@ -324,7 +326,7 @@ def run_nclp(stream: DemandStream, start_x: float | None = None,
     by the O(n log n) chain that longest_chain_fast runs on records."""
     sim = _EventKernel(stream, start_x, trace)
     x0 = sim.start[0]
-    plan = _chain(x0, 0.0, range(len(stream)), stream.t_arr, stream.x, stream.ids, sim.l_v)
+    plan = _chain(x0, 0.0, range(len(stream)), _chain_columns(*stream.arrays, sim.l_v))
     sim.recompute(0.0, x0)
     sim.advance(0.0, True)
     sim.commit(plan, 0.0, x0)
@@ -339,13 +341,13 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
         raise ParameterDomainError(f"eta must be in (0, 1], got {eta!r}")
     eta = float(eta)
     sim = _EventKernel(stream, start_x, trace)
-    t_arr, xs, ids, l_v = stream.t_arr, stream.x, stream.ids, sim.l_v
+    cols = _chain_columns(*stream.arrays, sim.l_v)
 
     def planner(t, x):
         ks = sim.outstanding
         if not ks:
             return []
-        plan = _chain(x, t, ks, t_arr, xs, ids, l_v)
+        plan = _chain(x, t, ks, cols)
         return plan[:math.ceil(eta * len(plan))]
 
     return _run(sim, planner)
@@ -356,16 +358,16 @@ def run_gp(stream: DemandStream, start_x: float | None = None,
     """Greedy path: chase the reachable demand with the earliest deadline,
     the smallest id among equal ones.  The kernel's `outstanding` is the
     range of positions from the first unpassed escape to the last arrival,
-    in arrival order, so deadlines never decrease along it and the scan
-    stops past the first reachable one: O(k) for the k demands up to
-    there, usually a few."""
+    in arrival order, so deadlines (read from the kernel's `t_esc`) never
+    decrease along it and the scan stops past the first reachable one:
+    O(k) for the k demands up to there, usually a few."""
     sim = _EventKernel(stream, start_x, trace)
-    t_arr, xs, ids, l_v = stream.t_arr, stream.x, stream.ids, sim.l_v
+    t_esc, xs, ids = sim.t_esc, stream.x, stream.ids
 
     def planner(t, x):
         best = None
         for k in sim.outstanding:
-            dl = t_arr[k] + l_v
+            dl = t_esc[k]
             if best is not None and dl > best_dl:
                 break
             if abs(x - xs[k]) <= dl - t and (best is None or ids[k] < ids[best]):

@@ -127,50 +127,71 @@ def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> Pa
 
 def _chain_plan(vehicle: VehicleState, ids, ts, xs, l_v: float) -> PathPlan:
     """longest_chain_fast's PathPlan over the columns (ids, ts, xs)."""
-    chain = _chain(vehicle.x, vehicle.t, range(len(ids)), ts, xs, ids, l_v)
+    chain = _chain(vehicle.x, vehicle.t, range(len(ids)), _chain_columns(ts, xs, ids, l_v))
     return PathPlan(order=[ids[k] for k in chain],
                     capture_times=[ts[k] + l_v for k in chain], length=len(chain))
 
 
-def _chain(x: float, t_now: float, ks, t_arr, xs, ids, l_v: float) -> list[int]:
+def _chain_columns(t_arr, xs, ids, l_v: float) -> tuple:
+    """The chain planner's arrays over the columns (t_arr, xs, ids), arrays
+    or lists, by position: (u, w, esc, ids, l_v), with the dominance
+    coordinates u = t_arr - x and w = t_arr + x, the deadlines
+    esc = t_arr + l_v, and the ids that break (u, w) ties.  The policies
+    make them once per run from `DemandStream.arrays`, and every _chain
+    call of the run reads them."""
+    t_arr = np.asarray(t_arr, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    return t_arr - xs, t_arr + xs, t_arr + l_v, np.asarray(ids, dtype=np.int64), l_v
+
+
+def _chain(x: float, t_now: float, ks, cols: tuple) -> list[int]:
     """Positions, in capture order, of a longest plan from abscissa x on the
-    deadline at t_now over the demands at positions ks of the columns
-    (ids, t_arr, xs), each captured on its deadline t_arr + l_v.  Refuses
-    a demand already escaped at t_now.  Ties go by (u, w, id)."""
+    deadline at t_now over the demands at positions ks of cols, the arrays
+    of _chain_columns, each captured on its deadline.  Refuses a demand
+    already escaped at t_now, naming the first in ks order.  Ties go by
+    (u, w, id).
+
+    ks is a sized iterable of positions; a unit-step range, such as the
+    event kernel's `outstanding` on the deadline, is read as a slice, and
+    anything else by indexing.  One vectorised escape check, mask and
+    lexsort per call; only the patience sort over the kept w runs in Python.
+    """
+    u, w, esc, ids, l_v = cols
+    if isinstance(ks, range) and ks.step == 1:
+        at, base = slice(ks.start, ks.stop), ks.start
+    else:
+        at, base = np.fromiter(ks, dtype=np.intp, count=len(ks)), None
+    late = esc[at] <= t_now
+    if late.any():
+        raise ContractViolationError(
+            f"demand {ids[at][late.argmax()]} already escaped at t={t_now}")
     t0v = t_now - l_v
-    u_s = t0v - x
-    w_s = t0v + x
-    items = []
-    for k in ks:       # one pass: refuse an escaped demand, keep the reachable ones
-        t, xk = t_arr[k], xs[k]
-        if t + l_v <= t_now:
-            raise ContractViolationError(f"demand {ids[k]} already escaped at t={t_now}")
-        u = t - xk
-        w = t + xk
-        if u >= u_s and w >= w_s:
-            items.append((u, w, ids[k], k))
-    items.sort()                    # ids are unique: positions are never compared
-    if not items:
+    uk, wk = u[at], w[at]
+    keep = np.flatnonzero((uk >= t0v - x) & (wk >= t0v + x))
+    if not len(keep):
         return []
+    pos = keep + base if base is not None else at[keep]
+    pos = pos[np.lexsort((ids[pos], wk[keep], uk[keep]))]
+    ws, pos = w[pos].tolist(), pos.tolist()
 
     # patience sorting for the longest nondecreasing subsequence in w
     tails_w: list[float] = []
     tails_at: list[int] = []
-    prev = [-1] * len(items)
-    for idx, (_u, w, _i, _k) in enumerate(items):
-        k = bisect.bisect_right(tails_w, w)
+    prev = [-1] * len(pos)
+    for idx, wv in enumerate(ws):
+        k = bisect.bisect_right(tails_w, wv)
         if k > 0:
             prev[idx] = tails_at[k - 1]
         if k == len(tails_w):
-            tails_w.append(w)
+            tails_w.append(wv)
             tails_at.append(idx)
         else:
-            tails_w[k] = w
+            tails_w[k] = wv
             tails_at[k] = idx
     chain = []
     k = tails_at[-1]
     while k >= 0:
-        chain.append(items[k][3])
+        chain.append(pos[k])
         k = prev[k]
     chain.reverse()
     return chain

@@ -6,12 +6,14 @@ agreement is evidence rather than tautology.  `lattice_stream` draws the
 small streams the property tests run them on.  The definitions the package
 only needs as checks live here too: demand positions and region counts,
 the reachability predicate and the deadline edge relation, the graph DP
-`longest_path` that checks the chain planner, `tour`, the closed tour
-built from emhp_heuristic, and `ReferenceKernel`, a naive event kernel that
-the policies can run on in place of `_EventKernel`.
+`longest_path` that checks the chain planner, `chain_reference`, that
+planner in pure Python, `tour`, the closed tour built from emhp_heuristic,
+and `ReferenceKernel`, a naive event kernel that the policies can run on in
+place of `_EventKernel`.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -213,6 +215,53 @@ def longest_path(vehicle, demands, v: float, L: float) -> PathPlan:
     deadline = {d.id: d.t_arr + L / v for d in demands}
     return PathPlan(order=order, capture_times=[deadline[i] for i in order],
                     length=len(order))
+
+
+def chain_reference(x: float, t_now: float, ks, t_arr, xs, ids, l_v: float) -> list[int]:
+    """The chain planner `reachability._chain` in pure Python, the oracle of
+    its numpy front end: positions, in capture order, of a longest plan
+    from abscissa x on the deadline at t_now over the demands at positions
+    ks of the lists (t_arr, xs, ids), each captured at t_arr + l_v.
+
+    One pass over ks in order refuses the first demand already escaped at
+    t_now and keeps those dominating the source in (u, w) = (t - x, t + x);
+    a tuple sort by (u, w, id) and a patience sort over w give the chain.
+    """
+    t0v = t_now - l_v
+    u_s = t0v - x
+    w_s = t0v + x
+    items = []
+    for k in ks:
+        t, xk = t_arr[k], xs[k]
+        if t + l_v <= t_now:
+            raise ContractViolationError(f"demand {ids[k]} already escaped at t={t_now}")
+        u = t - xk
+        w = t + xk
+        if u >= u_s and w >= w_s:
+            items.append((u, w, ids[k], k))
+    items.sort()
+    if not items:
+        return []
+    tails_w: list[float] = []
+    tails_at: list[int] = []
+    prev = [-1] * len(items)
+    for idx, (_u, w, _i, _k) in enumerate(items):
+        k = bisect.bisect_right(tails_w, w)
+        if k > 0:
+            prev[idx] = tails_at[k - 1]
+        if k == len(tails_w):
+            tails_w.append(w)
+            tails_at.append(idx)
+        else:
+            tails_w[k] = w
+            tails_at[k] = idx
+    chain = []
+    k = tails_at[-1]
+    while k >= 0:
+        chain.append(items[k][3])
+        k = prev[k]
+    chain.reverse()
+    return chain
 
 
 def check_plan(plan, vehicle, demands, v, L, tol=1e-9):
@@ -586,10 +635,10 @@ class ReferenceKernel:
     """The event kernel as the `_EventKernel` docstring defines it, naively.
 
     It has the interface the policies use (`env`, `start`, `stream`, `l_v`,
-    `arrived`, `outstanding`, `is_outstanding`, `protect`, `leg`, `advance`,
-    `capture`, `commit`, `recompute`, `finish`), names a demand by its
-    position in the stream, keeps one state per position and finds each
-    next event in `advance` by scanning every position, O(n) per event.  An
+    `t_esc`, `arrived`, `outstanding`, `is_outstanding`, `protect`, `leg`,
+    `advance`, `capture`, `commit`, `recompute`, `finish`), names a demand
+    by its position in the stream, keeps one state per position and finds
+    each next event in `advance` by scanning every position, O(n) per event.  An
     event is the earliest of: the escape, at t_arr + L/v, of an outstanding
     demand that is not protected, and the arrival of a demand not yet
     arrived.  At one instant an escape comes first, and escapes go in
@@ -606,6 +655,7 @@ class ReferenceKernel:
         self.env, self.strip, self.stream = env, strip, stream
         self.start = _check_start(env, start, strip)
         self.l_v = env.L / env.v
+        self.t_esc = [t + self.l_v for t in stream.t_arr]
         self.state = ["pending"] * len(stream)
         self.outstanding = {}       # admitted in time order, so in arrival order
         self.protected = set()

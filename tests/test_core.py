@@ -243,6 +243,50 @@ def test_generated_records_are_the_draws(seed, n):
         [(i, t.hex(), x.hex()) for i, t, x in zip(range(n), t_arr, xs)]
 
 
+def _stream_sources(tmp_path):
+    """A generated stream, one built from its records and one read from its file."""
+    env = make_env(W=120, L=500, v=2, lam=0.75)
+    generated = generate_stream(env, 300, seed=5)
+    path = str(tmp_path / "stream.jsonl")
+    write_stream_jsonl(generated, path)
+    return {"generated": generated,
+            "records": DemandStream(env, 5, [Demand(d.id, d.t_arr, d.x) for d in generated]),
+            "file": read_stream_jsonl(path)}
+
+
+@pytest.mark.parametrize("source", ["generated", "records", "file"])
+def test_stream_arrays_are_its_columns(tmp_path, source):
+    # (t_arr, x, ids) as float64, float64 and int64 arrays, bit for bit the
+    # columns, built once
+    s = _stream_sources(tmp_path)[source]
+    t_arr, xs, ids = s.arrays
+    assert (t_arr.dtype, xs.dtype, ids.dtype) == (np.float64, np.float64, np.int64)
+    assert t_arr.tobytes() == np.array(s.t_arr).tobytes()
+    assert xs.tobytes() == np.array(s.x).tobytes()
+    assert ids.tolist() == s.ids == list(range(300))
+    assert s.arrays is s.arrays
+
+
+@pytest.mark.parametrize("source", ["generated", "records", "file"])
+def test_stream_arrays_refuse_writes(tmp_path, source):
+    s = _stream_sources(tmp_path)[source]
+    before = [a.copy() for a in s.arrays]
+    for a in s.arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1
+    assert all(np.array_equal(a, b) for a, b in zip(s.arrays, before))
+
+
+def test_empty_stream_arrays():
+    env = make_env(W=10, L=20, v=2.0, lam=2.0)
+    for s in (generate_stream(env, 0, seed=0), DemandStream(env, 0, [])):
+        assert [(a.shape, a.dtype) for a in s.arrays] == \
+            [((0,), np.float64), ((0,), np.float64), ((0,), np.int64)]
+
+
 def test_generate_stream_shape():
     env = make_env(W=10, L=20, v=0.5, lam=2.0)
     s = generate_stream(env, 500, seed=7)

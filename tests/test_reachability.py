@@ -1,4 +1,6 @@
 """Reachability predicate, graph construction, and longest-path planning."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,11 @@ from guardsim import (
     make_env,
     run_nclp,
 )
+from guardsim.reachability import _chain, _chain_columns
 
-from ._oracles import (brute_reach_edges, check_plan, deadline_edge, demand_position,
-                       is_reachable, lattice_stream, longest_path, longest_source_path_enum)
+from ._oracles import (brute_reach_edges, chain_reference, check_plan, deadline_edge,
+                       demand_position, is_reachable, lattice_stream, longest_path,
+                       longest_source_path_enum)
 
 
 def _random_instance(rng, n_max=10, W=8.0):
@@ -197,6 +201,58 @@ def test_chain_equals_graph_dp_from_any_vehicle_state(data):
     assert a.length == b.length
     check_plan(a, veh, demands, v, L)
     check_plan(b, veh, demands, v, L)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_chain_equals_the_pure_python_chain(data):
+    # 0.5-lattice columns in any time order, so (u, w) ties are exact and
+    # frequent; ids drawn apart from positions, up to sys.maxsize; ks as a
+    # unit-step range (read as a slice), a list in any order, a dict or a
+    # range of step 2 (read by indexing); a vehicle that filters out some
+    # demands; and, in some draws, demands in ks already escaped at t_now
+    n = data.draw(st.integers(0, 24), label="n")
+    t_arr = [0.5 * k for k in data.draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))]
+    xs = [0.5 * k for k in data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))]
+    ids = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 13, sys.maxsize])
+                             | st.integers(0, 10 ** 6), min_size=n, max_size=n, unique=True))
+    l_v = 0.5 * data.draw(st.integers(1, 40), label="l_v")
+    x = 0.5 * data.draw(st.integers(0, 20), label="x")
+    t_now = 0.5 * data.draw(st.integers(-20, 60), label="t_now")
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    form = data.draw(st.sampled_from(["range", "list", "dict", "step 2"]), label="ks")
+    if form == "range":
+        ks = range(lo, hi)
+    elif form == "step 2":
+        ks = range(lo, hi, 2)
+    else:
+        ks = data.draw(st.permutations(range(n)))[:hi - lo]
+        ks = ks if form == "list" else dict.fromkeys(ks)
+    if data.draw(st.booleans(), label="unescaped") and len(ks):
+        t_now = min(t_now, min(t_arr[k] for k in ks) + l_v - 0.5)   # nothing escaped
+    cols = _chain_columns(np.array(t_arr), np.array(xs), np.array(ids), l_v)
+    try:
+        want = chain_reference(x, t_now, ks, t_arr, xs, ids, l_v)
+    except ContractViolationError as exc:
+        with pytest.raises(ContractViolationError) as got:
+            _chain(x, t_now, ks, cols)
+        assert str(got.value) == str(exc)
+    else:
+        assert _chain(x, t_now, ks, cols) == want
+        # the same columns as lists give the same plan
+        assert _chain(x, t_now, ks, _chain_columns(t_arr, xs, ids, l_v)) == want
+
+
+def test_chain_names_the_first_escaped_demand_in_ks_order():
+    # positions 1 and 3 have escaped at t = 10 (deadlines 10 and 9)
+    t_arr, xs, ids, l_v = [8.0, 6.0, 9.0, 5.0], [1.0, 2.0, 1.5, 4.0], [40, 30, 20, 10], 4.0
+    cols = _chain_columns(t_arr, xs, ids, l_v)
+    for ks, named in ((range(4), 30), ([3, 1, 0], 10), ([0, 2, 1, 3], 30)):
+        with pytest.raises(ContractViolationError, match=f"^demand {named} already escaped"):
+            _chain(2.0, 10.0, ks, cols)
+    assert _chain(2.0, 10.0, [2, 0], cols) == chain_reference(2.0, 10.0, [2, 0], t_arr, xs,
+                                                              ids, l_v) == [0, 2]
 
 
 def test_plan_feasibility_invariants():
