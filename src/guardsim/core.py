@@ -78,9 +78,12 @@ class DemandStream:
     numpy arrays (t_arr, x, ids), which the kernel and the chain planner
     read whole.  `demands`, iteration and indexing give `Demand` records;
     no policy run asks for them.  `DemandStream(env, seed, demands)` checks
-    every record and fills the columns; `generate_stream` fills them, and
-    `arrays`, from the arrays it drew.  Whatever is not filled is built
-    from the columns on first use and kept.
+    every record and fills the three columns.  `generate_stream` fills
+    `t_arr`, which every run bisects, and `arrays`, from the arrays it
+    drew; `ids` and `x` are then built from `arrays` on their first read,
+    which untraced NCLP and LP runs never make.  `arrays` and `demands`
+    are built from the columns on first use when not filled.  All are
+    kept once built; `len` reads `t_arr` and builds nothing.
 
     Treated as immutable once built: nothing writes to the columns, the
     arrays refuse writes, and a change to a record in `demands` does not
@@ -98,9 +101,11 @@ class DemandStream:
                     f"demands must be an iterable of Demand records, got {demands!r}")
             demands = list(demands)      # an iterable is read once, here
         self.env, self.seed = env, seed
-        self.ids: list[int] = []
+        ids: list[int] = []
         self.t_arr: list[float] = []
-        self.x: list[float] = []
+        xs: list[float] = []
+        self._ids: list[int] | None = ids
+        self._x: list[float] | None = xs
         self._demands: list[Demand] | None = None
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         prev, W, maxsize = -math.inf, env.W, sys.maxsize   # locals: read per demand
@@ -128,9 +133,9 @@ class DemandStream:
                 if not (t.__class__ is float and x.__class__ is float
                         or is_number(t) and is_number(x)):
                     raise TypeError     # a bool, or another type that compares like a number
-                self.ids.append(i)
+                ids.append(i)
                 self.t_arr.append(float(t))
-                self.x.append(float(x))
+                xs.append(float(x))
         except TypeError:
             raise ContractViolationError(f"demand {d.id}: arrival time {d.t_arr!r} "
                                          f"and abscissa {d.x!r} must be numbers") from None
@@ -138,9 +143,25 @@ class DemandStream:
         # increase, so the first is the earliest
         if self.t_arr and self.t_arr[0] < 0.0:
             raise ContractViolationError(
-                f"demand {self.ids[0]}: arrival time {demands[0].t_arr} is negative")
-        if len(set(self.ids)) != len(self.ids):
+                f"demand {ids[0]}: arrival time {demands[0].t_arr} is negative")
+        if len(set(ids)) != len(ids):
             raise ContractViolationError("demand ids must be unique")
+
+    @property
+    def ids(self) -> list[int]:
+        """The ids column, built once, on first read, when generate_stream
+        kept only its arrays."""
+        if self._ids is None:
+            self._ids = self._arrays[2].tolist()
+        return self._ids
+
+    @property
+    def x(self) -> list[float]:
+        """The abscissa column, built once, on first read, when
+        generate_stream kept only its arrays."""
+        if self._x is None:
+            self._x = self._arrays[1].tolist()
+        return self._x
 
     @property
     def demands(self) -> list[Demand]:
@@ -161,7 +182,7 @@ class DemandStream:
         return self._arrays
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.t_arr)
 
     def __iter__(self) -> Iterator[Demand]:
         return iter(self.demands)
@@ -176,6 +197,8 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
     Interarrival gaps are Exponential(lam) via the inverse transform
     -ln(U)/lam, abscissae Uniform[0, W).  Draw order is fixed (all gaps,
     then all abscissae) so streams are bit-reproducible for a given seed.
+    The stream keeps the drawn arrays as its `arrays` and fills only the
+    `t_arr` column; `ids` and `x` are built from the arrays on first read.
     """
     if not is_count(n_demands):
         raise ParameterDomainError(f"n_demands must be a non-negative int, got {n_demands!r}")
@@ -197,7 +220,7 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
                           and (t_arr[1:] > t_arr[:-1]).all()):
         return DemandStream(env, seed, list(map(Demand, range(n_demands), t_arr.tolist(),
                                                 xs.tolist())))
-    stream.ids, stream.t_arr, stream.x = list(range(n_demands)), t_arr.tolist(), xs.tolist()
+    stream.t_arr, stream._ids, stream._x = t_arr.tolist(), None, None
     stream._arrays = _read_only(t_arr, xs, np.arange(n_demands, dtype=np.int64))
     return stream
 

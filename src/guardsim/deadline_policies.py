@@ -74,8 +74,9 @@ _OPEN_BYTE, _RESOLVED_BYTE = bytes((_OPEN,)), bytes((_RESOLVED,))
 class _EventKernel:
     """Event bookkeeping shared by both regimes; a policy adds its planner.
 
-    The kernel reads the stream's columns (`DemandStream.ids`, `t_arr`, `x`)
-    and never writes to them; it and the planners name a demand by its
+    The kernel reads the stream's `t_arr` column and `arrays`, and the
+    `ids` and `x` columns only for a kept trace or an error message; it
+    never writes to them.  It and the planners name a demand by its
     position k in the stream, and a trace event names ids[k].  It admits
     the arrivals and fires the escapes in time order while the policy moves
     the vehicle along motion legs and captures.  It alone owns a demand's
@@ -106,11 +107,15 @@ class _EventKernel:
 
     Ties: in `advance` an escape fires before an arrival at the same
     instant, and before the capture the policy makes at t_end; escapes at
-    one instant fire in arrival order.  Protected demands (committed
-    targets) never escape.  The policies order the rest:
+    one instant fire in arrival order.  Committed targets never escape: a
+    deadline commit marks them resolved before it moves, and TF protects
+    its target before each capture.  The policies order the rest:
     - deadline: capture, recompute, arrival, recompute.  LP and GP replan
       at a capture instant before they admit the arrival there, and again
-      after it; NCLP never replans.
+      after it; NCLP never replans.  A plan made at t is committed at once:
+      the commit's cursor move admits the arrivals at t, which come before
+      its first capture instant, and logs them first, so the order is the
+      same as if they were admitted before the commit.
     - strip: capture, arrival, recompute.  TF admits the arrivals at the
       end of a sweep before it plans the next one.
     """
@@ -130,6 +135,7 @@ class _EventKernel:
         self.l_v = l_v = env.L / env.v
         self._t_arr = stream.t_arr
         self.t_esc = (stream.arrays[0] + l_v).tolist()
+        self._x_arr = stream.arrays[1]
         self.arrived = 0              # position arrived arrives next
         self._passed = 0              # positions below _passed are past their escape instant
         self._mark = bytearray(len(self._t_arr))
@@ -225,14 +231,17 @@ class _EventKernel:
         """Capture the positions ks in order, each on its deadline: slide to
         its abscissa and wait.  Returns the vehicle's (t, x) afterwards.
 
-        The capture instants are fixed, so the commit is one cursor move to
-        the last of them with ks protected.  A kept trace logs the move's
-        window per capture: that capture's leg, the escapes at or before
-        its instant and the arrivals strictly before it, then the capture,
-        as a capture-by-capture walk would.  Each position must arrive
-        before its capture instant and be unresolved, once in ks, with
-        instants that never decrease; otherwise ContractViolationError,
-        before any state changes."""
+        The capture instants are fixed, so the commit is one pass over ks,
+        which checks each position and marks it resolved, and one cursor
+        move to the last instant.  The move resolves only open marks, so no
+        position of ks escapes on the way, and it admits every arrival
+        before the last instant, those at t among them.  A kept trace logs
+        the move's window per capture: that capture's leg, the escapes at
+        or before its instant and the arrivals strictly before it, then the
+        capture, as a capture-by-capture walk would.  Each position must
+        arrive before its capture instant and be unresolved, once in ks,
+        with instants that never decrease; otherwise ContractViolationError,
+        and the pass reopens what it marked, so no state changes."""
         if not ks:
             return t, x
         t_arr, t_esc, mark = self._t_arr, self.t_esc, self._mark
@@ -245,10 +254,11 @@ class _EventKernel:
                 raise ContractViolationError(
                     f"cannot commit position {k} at t={t}: not outstanding before its "
                     f"capture instant, repeated, or captured out of time order")
-            mark[k] = _PROTECTED
+            mark[k] = _RESOLVED
             t_k = t_esc[k]
         a, p = self.arrived, self._passed
         fired = self._move(t_k, False)
+        self.n_capt += len(ks)
         if self.events is not None:
             ids, xs, events, i = self.stream.ids, self.stream.x, self.events, 0
             for k in ks:        # the cursors of advance(t_k, False), capture(k, t_k)
@@ -260,12 +270,9 @@ class _EventKernel:
                 self._log(a, a_k, fired[i:j])
                 events.append(TraceEvent(t_k, "capture", ids[k], x_k))
                 a, i, t, x = a_k, j, t_k, x_k
-        for k in ks:
-            mark[k] = _RESOLVED
-        self.n_capt += len(ks)
-        t, x = t_esc[ks[-1]], self.stream.x[ks[-1]]
-        self.leg = (t, x, x, 0.0)
-        return t, x
+        x = self._x_arr.item(ks[-1])
+        self.leg = (t_k, x, x, 0.0)
+        return t_k, x
 
     def recompute(self, t: float, x: float) -> None:
         if self.events is not None:
@@ -303,17 +310,24 @@ def _run(sim: _EventKernel, planner) -> RunResult:
 
     planner(t, x) -> positions of outstanding demands to commit, in capture
     order; it commits only paths the vehicle can follow from (x, L) at t.
+    A plan costs one planner call and one kernel call: a non-empty plan
+    goes straight to `commit`, whose cursor move admits the arrivals at t
+    before its first capture instant, which lies after t (the planners
+    offer only demands whose escape instant is still ahead).  Only an
+    empty plan admits the arrivals at t by `advance`, and when there are
+    none, the loop idles to the next arrival.
     """
     t_arr = sim.stream.t_arr
     t, x = 0.0, sim.start[0]
     while True:
         commit = planner(t, x)
         sim.recompute(t, x)
-        waiting = sim.arrived
-        sim.advance(t, True)
         if commit:
             t, x = sim.commit(commit, t, x)
-        elif sim.arrived == waiting:          # nothing new: idle or done
+            continue
+        waiting = sim.arrived
+        sim.advance(t, True)
+        if sim.arrived == waiting:            # nothing new: idle or done
             if sim.arrived == len(t_arr):
                 return sim.finish()
             t = t_arr[sim.arrived]
@@ -323,12 +337,13 @@ def _run(sim: _EventKernel, planner) -> RunResult:
 def run_nclp(stream: DemandStream, start_x: float | None = None,
              trace: bool = False) -> RunResult:
     """Non-causal longest path: one plan over the entire stream at t=0,
-    by the O(n log n) chain that longest_chain_fast runs on records."""
+    by the O(n log n) chain that longest_chain_fast runs on records, and
+    one commit, whose cursor move admits every arrival up to its last
+    capture instant."""
     sim = _EventKernel(stream, start_x, trace)
     x0 = sim.start[0]
     plan = _chain(x0, 0.0, range(len(stream)), _chain_columns(*stream.arrays, sim.l_v))
     sim.recompute(0.0, x0)
-    sim.advance(0.0, True)
     sim.commit(plan, 0.0, x0)
     return sim.finish()
 

@@ -151,10 +151,14 @@ def _chain(x: float, t_now: float, ks, cols: tuple) -> list[int]:
     already escaped at t_now, naming the first in ks order.  Ties go by
     (u, w, id).
 
-    ks is a sized iterable of positions; a unit-step range, such as the
-    event kernel's `outstanding` on the deadline, is read as a slice, and
-    anything else by indexing.  One vectorised escape check, mask and
-    lexsort per call; only the patience sort over the kept w runs in Python.
+    ks is a sized iterable of positions in any time order; a unit-step
+    range, such as the event kernel's `outstanding` on the deadline, is
+    read as a slice, and anything else by indexing.  One vectorised escape
+    check over all of ks, mask and lexsort per call; only the patience sort
+    over the kept w runs in Python.  It records each demand's pile, and one
+    backward walk picks the chain: a demand's predecessor is the latest
+    earlier demand on the pile below.  Only the chain's positions leave
+    numpy.
     """
     u, w, esc, ids, l_v = cols
     if isinstance(ks, range) and ks.step == 1:
@@ -172,29 +176,26 @@ def _chain(x: float, t_now: float, ks, cols: tuple) -> list[int]:
         return []
     pos = keep + base if base is not None else at[keep]
     pos = pos[np.lexsort((ids[pos], wk[keep], uk[keep]))]
-    ws, pos = w[pos].tolist(), pos.tolist()
 
     # patience sorting for the longest nondecreasing subsequence in w
-    tails_w: list[float] = []
-    tails_at: list[int] = []
-    prev = [-1] * len(pos)
-    for idx, wv in enumerate(ws):
-        k = bisect.bisect_right(tails_w, wv)
-        if k > 0:
-            prev[idx] = tails_at[k - 1]
-        if k == len(tails_w):
-            tails_w.append(wv)
-            tails_at.append(idx)
+    tails: list[float] = []
+    piles = []
+    for wv in w[pos].tolist():
+        k = bisect.bisect_right(tails, wv)
+        piles.append(k)
+        if k == len(tails):
+            tails.append(wv)
         else:
-            tails_w[k] = wv
-            tails_at[k] = idx
-    chain = []
-    k = tails_at[-1]
-    while k >= 0:
-        chain.append(pos[k])
-        k = prev[k]
+            tails[k] = wv
+    # walk back from the last demand on the top pile, each time to the
+    # latest earlier demand on the pile below
+    piles.reverse()
+    last, i, chain = len(piles) - 1, 0, []
+    for k in range(len(tails) - 1, -1, -1):
+        i = piles.index(k, i)
+        chain.append(last - i)
     chain.reverse()
-    return chain
+    return pos[chain].tolist()
 
 
 def graph_to_dict(graph: ReachGraph) -> dict:

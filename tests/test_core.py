@@ -14,6 +14,8 @@ from guardsim import (
     make_env,
     read_stream_jsonl,
     run_gp,
+    run_lp,
+    run_nclp,
     write_stream_jsonl,
 )
 
@@ -244,17 +246,41 @@ def test_generated_records_are_the_draws(seed, n):
 
 
 def _stream_sources(tmp_path):
-    """A generated stream, one built from its records and one read from its file."""
+    """A generated stream, the same after untraced NCLP and LP runs, which
+    leave its ids and x columns unbuilt, one built from its records and one
+    read from its file."""
     env = make_env(W=120, L=500, v=2, lam=0.75)
     generated = generate_stream(env, 300, seed=5)
+    after_runs = generate_stream(env, 300, seed=5)
+    run_nclp(after_runs)
+    run_lp(after_runs, eta=0.5)
     path = str(tmp_path / "stream.jsonl")
     write_stream_jsonl(generated, path)
-    return {"generated": generated,
+    return {"generated": generated, "after_runs": after_runs,
             "records": DemandStream(env, 5, [Demand(d.id, d.t_arr, d.x) for d in generated]),
             "file": read_stream_jsonl(path)}
 
 
-@pytest.mark.parametrize("source", ["generated", "records", "file"])
+STREAM_SOURCES = ["generated", "after_runs", "records", "file"]
+
+
+@pytest.mark.parametrize("source", STREAM_SOURCES)
+def test_stream_columns_are_those_of_its_records(tmp_path, source):
+    # the columns, read first here, equal bit for bit those of the stream
+    # built from the records of the documented draws, and are kept
+    env = make_env(W=120, L=500, v=2, lam=0.75)
+    rng = np.random.default_rng(5)
+    t_arr = np.cumsum(-np.log(1.0 - rng.random(300)) / env.lam).tolist()
+    xs = (env.W * rng.random(300)).tolist()
+    rebuilt = DemandStream(env, 5, list(map(Demand, range(300), t_arr, xs)))
+    s = _stream_sources(tmp_path)[source]
+    assert s.ids == rebuilt.ids and all(i.__class__ is int for i in s.ids)
+    assert [t.hex() for t in s.t_arr] == [t.hex() for t in rebuilt.t_arr]
+    assert [x.hex() for x in s.x] == [x.hex() for x in rebuilt.x]
+    assert s.ids is s.ids and s.x is s.x
+
+
+@pytest.mark.parametrize("source", STREAM_SOURCES)
 def test_stream_arrays_are_its_columns(tmp_path, source):
     # (t_arr, x, ids) as float64, float64 and int64 arrays, bit for bit the
     # columns, built once
@@ -267,7 +293,7 @@ def test_stream_arrays_are_its_columns(tmp_path, source):
     assert s.arrays is s.arrays
 
 
-@pytest.mark.parametrize("source", ["generated", "records", "file"])
+@pytest.mark.parametrize("source", STREAM_SOURCES)
 def test_stream_arrays_refuse_writes(tmp_path, source):
     s = _stream_sources(tmp_path)[source]
     before = [a.copy() for a in s.arrays]

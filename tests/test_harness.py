@@ -12,8 +12,13 @@ from guardsim import (
     RegimeError,
     SizeLimitError,
     applicable_bounds,
+    generate_stream,
     make_env,
     monte_carlo,
+    run_gp,
+    run_lp,
+    run_nclp,
+    run_tf,
     sweep,
     sweep_csv,
     sweep_svg,
@@ -184,3 +189,17 @@ def test_tf_sweep_smoke():
     assert len(rows) == 2
     pooled = 2.0 * (rows[0].stderr + rows[1].stderr) + 1e-12
     assert rows[1].mean <= rows[0].mean + pooled
+
+
+def test_library_code_prints_nothing(capfd):
+    # bench/run.py's last stdout line must be its result, and the CLI's
+    # stdout its output, so sweeps and traced runs write to neither stream,
+    # not even from C code
+    for policy, env in (("nclp", FAST), ("lp", FAST), ("gp", FAST), ("tf", SLOW)):
+        sweep(ExperimentSpec(policy=policy, env=env, n_demands=150, runs=2,
+                             sweep=(0.5, 1.5, 0.5)))
+    fast = generate_stream(FAST, 150, seed=1)
+    slow = generate_stream(SLOW, 150, seed=1)
+    for run, stream in ((run_nclp, fast), (run_lp, fast), (run_gp, fast), (run_tf, slow)):
+        assert run(stream, trace=True).trace
+    assert capfd.readouterr() == ("", "")
