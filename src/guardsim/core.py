@@ -69,7 +69,8 @@ class VehicleState:
 
 class DemandStream:
     """A seeded batch of demands over a fixed environment, with unique count
-    ids and finite arrival times t_arr >= 0 that strictly increase.
+    ids and finite arrival times t_arr >= 0 that strictly increase; a time
+    or an abscissa of -0.0 is kept as 0.0.
 
     The stream is three columns in arrival order, `ids`, `t_arr` and `x`
     (Python lists; times and abscissae are floats), and runs read only
@@ -134,8 +135,8 @@ class DemandStream:
                         or is_number(t) and is_number(x)):
                     raise TypeError     # a bool, or another type that compares like a number
                 ids.append(i)
-                self.t_arr.append(float(t))
-                xs.append(float(x))
+                self.t_arr.append(float(t) + 0.0)     # + 0.0 turns -0.0 into 0.0
+                xs.append(float(x) + 0.0)
         except TypeError:
             raise ContractViolationError(f"demand {d.id}: arrival time {d.t_arr!r} "
                                          f"and abscissa {d.x!r} must be numbers") from None

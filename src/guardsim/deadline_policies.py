@@ -115,7 +115,12 @@ class _EventKernel:
       after it; NCLP never replans.  A plan made at t is committed at once:
       the commit's cursor move admits the arrivals at t, which come before
       its first capture instant, and logs them first, so the order is the
-      same as if they were admitted before the commit.
+      same as if they were admitted before the commit.  GP plans its whole
+      greedy chain in one call: after each pick it moves its own copies of
+      the cursors to the capture instant as the commit's move would
+      (arrivals strictly before it, escapes through it) and picks again, so
+      each pick is the one a replan at that instant would make; its commit
+      logs a recompute after every capture but the last.
     - strip: capture, arrival, recompute.  TF admits the arrivals at the
       end of a sweep before it plans the next one.
     """
@@ -227,9 +232,11 @@ class _EventKernel:
         if self.events is not None:
             self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
 
-    def commit(self, ks: list[int], t: float, x: float):
+    def commit(self, ks: list[int], t: float, x: float, _replans: bool = False):
         """Capture the positions ks in order, each on its deadline: slide to
         its abscissa and wait.  Returns the vehicle's (t, x) afterwards.
+        With _replans (GP's greedy chain), a kept trace logs a recompute
+        after every capture but the last, where the policy replanned.
 
         The capture instants are fixed, so the commit is one pass over ks,
         which checks each position and marks it resolved, and one cursor
@@ -260,7 +267,7 @@ class _EventKernel:
         fired = self._move(t_k, False)
         self.n_capt += len(ks)
         if self.events is not None:
-            ids, xs, events, i = self.stream.ids, self.stream.x, self.events, 0
+            ids, xs, events, i, last = self.stream.ids, self.stream.x, self.events, 0, ks[-1]
             for k in ks:        # the cursors of advance(t_k, False), capture(k, t_k)
                 t_k, x_k = t_esc[k], xs[k]
                 self.leg = (t, x, x_k, abs(x_k - x))
@@ -269,6 +276,8 @@ class _EventKernel:
                 j = bisect_left(fired, p, i)
                 self._log(a, a_k, fired[i:j])
                 events.append(TraceEvent(t_k, "capture", ids[k], x_k))
+                if _replans and k != last:
+                    events.append(TraceEvent(t_k, "recompute", None, x_k))
                 a, i, t, x = a_k, j, t_k, x_k
         x = self._x_arr.item(ks[-1])
         self.leg = (t_k, x, x, 0.0)
@@ -290,7 +299,8 @@ class _EventKernel:
 
 def _check_start(env, start, strip: bool) -> tuple:
     """The vehicle's start, by default mid-strip: (x,) with x in [0, W] on
-    the deadline, a point (x, y) of [0, W] x [0, L] in the strip."""
+    the deadline, a point (x, y) of [0, W] x [0, L] in the strip; -0.0 is
+    taken as 0.0, so a trace never logs both at one instant."""
     if start is None:
         return (env.W / 2.0, env.L / 2.0) if strip else (env.W / 2.0,)
     try:
@@ -302,14 +312,16 @@ def _check_start(env, start, strip: bool) -> tuple:
         where = f"point (x, y) of [0, {env.W}] x [0, {env.L}]" if strip \
             else f"abscissa in [0, {env.W}]"
         raise ParameterDomainError(f"start must be a finite {where}, got {start!r}")
-    return tuple(map(float, p))
+    return tuple(float(c) + 0.0 for c in p)
 
 
-def _run(sim: _EventKernel, planner) -> RunResult:
+def _run(sim: _EventKernel, planner, replans: bool = False) -> RunResult:
     """Replan after every commit and every arrival until the stream resolves.
 
     planner(t, x) -> positions of outstanding demands to commit, in capture
     order; it commits only paths the vehicle can follow from (x, L) at t.
+    With replans, each capture but the last is also a replan (GP's chain),
+    which the commit logs.
     A plan costs one planner call and one kernel call: a non-empty plan
     goes straight to `commit`, whose cursor move admits the arrivals at t
     before its first capture instant, which lies after t (the planners
@@ -323,7 +335,7 @@ def _run(sim: _EventKernel, planner) -> RunResult:
         commit = planner(t, x)
         sim.recompute(t, x)
         if commit:
-            t, x = sim.commit(commit, t, x)
+            t, x = sim.commit(commit, t, x, _replans=replans)
             continue
         waiting = sim.arrived
         sim.advance(t, True)
@@ -371,22 +383,40 @@ def run_lp(stream: DemandStream, start_x: float | None = None, eta: float = 1.0,
 def run_gp(stream: DemandStream, start_x: float | None = None,
            trace: bool = False) -> RunResult:
     """Greedy path: chase the reachable demand with the earliest deadline,
-    the smallest id among equal ones.  The kernel's `outstanding` is the
-    range of positions from the first unpassed escape to the last arrival,
-    in arrival order, so deadlines (read from the kernel's `t_esc`) never
-    decrease along it and the scan stops past the first reachable one:
-    O(k) for the k demands up to there, usually a few."""
+    the smallest id among equal ones, and replan at its capture instant.
+
+    One planner call plans the whole greedy chain, and `_run` hands it to
+    one commit.  The planner keeps its own copies of the kernel's cursors
+    and, after each pick captured at t, moves them as the commit's move
+    would: arrivals strictly before t (`bisect_left` on the arrival
+    instants) and escapes through t (`bisect_right` on the kernel's
+    `t_esc`, which passes the pick itself).  Between the two cursors lie
+    the demands outstanding at t, in arrival order, so deadlines never
+    decrease along them and each scan stops past the first reachable one:
+    O(k) for the k demands up to there, usually a few.  The chain ends when
+    nothing is reachable; `_run` then admits the arrivals at t and replans.
+    The planner reads only the kernel's `outstanding`, `arrived`, `t_esc`
+    and `stream`."""
     sim = _EventKernel(stream, start_x, trace)
-    t_esc, xs, ids = sim.t_esc, stream.x, stream.ids
+    t_arr, t_esc, xs, ids = stream.t_arr, sim.t_esc, stream.x, stream.ids
 
     def planner(t, x):
-        best = None
-        for k in sim.outstanding:
-            dl = t_esc[k]
-            if best is not None and dl > best_dl:
-                break
-            if abs(x - xs[k]) <= dl - t and (best is None or ids[k] < ids[best]):
-                best, best_dl = k, dl
-        return [] if best is None else [best]
+        a = sim.arrived
+        p = next(iter(sim.outstanding), a)
+        chain = []
+        while True:
+            best = None
+            for k in range(p, a):
+                dl = t_esc[k]
+                if best is not None and dl > best_dl:
+                    break
+                if abs(x - xs[k]) <= dl - t and (best is None or ids[k] < ids[best]):
+                    best, best_dl = k, dl
+            if best is None:
+                return chain
+            chain.append(best)
+            t, x = best_dl, xs[best]
+            a = bisect_left(t_arr, t, a)
+            p = bisect_right(t_esc, t, p, a)
 
-    return _run(sim, planner)
+    return _run(sim, planner, replans=True)

@@ -9,7 +9,8 @@ the reachability predicate and the deadline edge relation, the graph DP
 `longest_path` that checks the chain planner, `chain_reference`, that
 planner in pure Python, `tour`, the closed tour built from emhp_heuristic,
 and `ReferenceKernel`, a naive event kernel that the policies can run on in
-place of `_EventKernel`.
+place of `_EventKernel`, and `gp_stepwise`, GP with one capture per plan
+run on it.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from guardsim import (ContractViolationError, Demand, DemandStream, ParameterDomainError,
                       PathPlan, RegimeError, RunResult, TraceEvent, build_reach_graph,
                       emhp_heuristic)
-from guardsim.deadline_policies import _check_start
+from guardsim.deadline_policies import _check_start, _run
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +646,8 @@ class ReferenceKernel:
     arrival order.  Vehicle abscissae come from the two documented leg
     formulas.  `commit` walks its captures one at a time: it protects them
     all, then slides to each one's abscissa, advances to its deadline and
-    captures it.
+    captures it; with `_replans` it logs a recompute after each capture but
+    the last.
     """
 
     def __init__(self, stream, start, trace, strip=False):
@@ -726,13 +728,15 @@ class ReferenceKernel:
         if self.events is not None:
             self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
 
-    def commit(self, ks, t, x):
+    def commit(self, ks, t, x, _replans=False):
         self.protected.update(ks)           # NCLP commits demands yet to arrive
-        for k in ks:
+        for n, k in enumerate(ks, 1):
             t_cap, x_k = self.stream.t_arr[k] + self.l_v, self.stream.x[k]
             self.leg = (t, x, x_k, abs(x_k - x))
             self.advance(t_cap, False)
             self.capture(k, t_cap)
+            if _replans and n < len(ks):    # GP's chain replans at each capture
+                self.recompute(t_cap, x_k)
             t, x = t_cap, x_k
         self.leg = (t, x, x, 0.0)
         return t, x
@@ -746,3 +750,25 @@ class ReferenceKernel:
         assert self.n_capt + self.n_esc == len(self.state)
         assert set(self.state) <= {"captured", "escaped"}
         return RunResult(self.n_capt, self.n_esc, trace=self.events)
+
+
+def gp_stepwise(stream, start_x=None, trace=False):
+    """GP as it ran before it planned whole chains, the oracle of `run_gp`:
+    each planner call returns one capture, the reachable outstanding demand
+    with the earliest deadline and the smallest id among equal ones, and
+    `_run` commits it alone and replans at its capture instant, all on
+    `ReferenceKernel`."""
+    sim = ReferenceKernel(stream, start_x, trace)
+    t_esc, xs, ids = sim.t_esc, stream.x, stream.ids
+
+    def planner(t, x):
+        best = None
+        for k in sim.outstanding:
+            dl = t_esc[k]
+            if best is not None and dl > best_dl:
+                break
+            if abs(x - xs[k]) <= dl - t and (best is None or ids[k] < ids[best]):
+                best, best_dl = k, dl
+        return [] if best is None else [best]
+
+    return _run(sim, planner)

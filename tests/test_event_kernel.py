@@ -40,8 +40,8 @@ from guardsim import (
 from guardsim import deadline_policies, tmhp
 from guardsim.deadline_policies import _EventKernel
 
-from ._oracles import (ReferenceKernel, check_plan, check_trace, gp_choice, lattice_stream,
-                       longest_path)
+from ._oracles import (ReferenceKernel, check_plan, check_trace, gp_choice, gp_stepwise,
+                       lattice_stream, longest_path)
 
 DEADLINE_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=0.25)
 STRIP_ENV = make_env(W=100.0, L=25.0, v=0.05, lam=1.6)
@@ -67,6 +67,13 @@ GOLDEN = [
     ("gp", lambda: run_gp(generate_stream(DEADLINE_ENV, 700, seed=6), trace=True),
      141, 559,
      "788bd79159c9a5c38b623f57d440e3892b64d5550477c17995d3616babb4d343"),
+    # the densest point of the benchmark's deadline sweep: the run is one
+    # greedy chain of 132 captures, committed at once, so the arrivals
+    # between its captures are logged inside that one commit
+    ("gp_dense", lambda: run_gp(generate_stream(make_env(W=120, L=500, v=2, lam=2.0), 2000,
+                                                seed=8), trace=True),
+     132, 1868,
+     "1b58810dbd50aeee30c1db580e655afd9db67769b35f4c648986bcaa8e05382d"),
     ("tf", lambda: run_tf(generate_stream(STRIP_ENV, 600, seed=7), trace=True),
      403, 197,
      "52e640dc17e0d92c06a14fe0e5a49561f79be2409ac1bc6b0d89f5b000ba7636"),
@@ -363,6 +370,26 @@ def test_lp_commits_the_ceil_of_a_longest_plan(data):
                                 len(captures)), vehicle, list(outstanding.values()), v, L)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gp_chains_run_as_one_capture_per_plan(data):
+    # run_gp plans a whole greedy chain per call and moves its own copies of
+    # the cursors; the oracle plans one capture per call on the reference
+    # kernel.  Lattice streams put arrivals on capture instants, and the
+    # escape-tie streams give equal deadlines; ids are shuffled
+    if data.draw(st.booleans()):
+        stream, x0 = _escape_tie_stream(data), 0.5 * data.draw(st.integers(0, 20))
+    else:
+        v, L = data.draw(st.sampled_from(FAST_VL))
+        env = make_env(W=5.0, L=L, v=v, lam=1.0)
+        stream = _shuffled_ids(data, lattice_stream(data, env, max_size=24, min_size=4))
+        x0 = 0.5 * data.draw(st.integers(0, 10))
+    _assert_same_run(run_gp(stream, start_x=x0, trace=True),
+                     gp_stepwise(stream, start_x=x0, trace=True))
+    res, ref = run_gp(stream, start_x=x0), gp_stepwise(stream, start_x=x0)
+    assert (res.n_capt, res.n_esc) == (ref.n_capt, ref.n_esc)
+
+
 def test_gp_equal_deadlines_go_to_the_smallest_id():
     # demands 5 and 3 arrive one ulp apart, and their deadlines round to the
     # same instant; the later arrival has the smaller id, so GP chases it
@@ -392,6 +419,19 @@ def test_deadline_start_at_either_end(runner):
     for x0 in (0.0, 10.0):
         res = runner(s, start_x=x0, trace=True)
         assert res.trace[0].vehicle_x == x0 and res.n_resolved == 50
+
+
+@pytest.mark.parametrize("policy", sorted(LATTICE_RUNS))
+def test_no_trace_logs_a_negative_zero(policy):
+    # a start or an abscissa of -0.0 is taken as 0.0, so a trace never logs
+    # -0.0 and 0.0 at one instant
+    v, L = (0.5, 20.0) if policy == "tf" else (2.0, 500.0)
+    env = make_env(W=10.0, L=L, v=v, lam=1.0)
+    for first in (Demand(0, 0.0, 3.0), Demand(0, -0.0, -0.0)):
+        stream = DemandStream(env, 0, [first, Demand(1, 1.0, 5.0)])
+        for res in _on_both_kernels(lambda: LATTICE_RUNS[policy](stream, -0.0, 1.0)):
+            assert any(e.t == 0.0 for e in res.trace)
+            assert all(math.copysign(1.0, e.vehicle_x) == 1.0 for e in res.trace)
 
 
 BAD_TF_STARTS = [(50.0, 1e9), (1.0, 2.0, 3.0), (5.0,), (math.nan, 1.0), (1.0, math.inf),
