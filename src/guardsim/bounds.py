@@ -59,7 +59,10 @@ def causal_upper_bound(v: float, lam: float, W: float) -> float:
     require_positive(v=v, lam=lam, W=W)
     if v >= 1.0:
         raise RegimeError(f"causal_upper_bound applies to v < 1, got v={v}")
-    return min(1.0, 2.0 / math.sqrt(v * lam * W))
+    root = math.sqrt(v * lam * W)
+    if root <= 2.0:          # the quotient is at least 1, also when v*lam*W underflows to 0
+        return 1.0
+    return 2.0 / root
 
 
 def tf_lower_bound(v: float, lam: float, W: float, beta_tsp: float = BETA_TSP) -> float:
@@ -73,7 +76,10 @@ def tf_lower_bound(v: float, lam: float, W: float, beta_tsp: float = BETA_TSP) -
     require_positive(v=v, lam=lam, W=W, beta_tsp=beta_tsp)
     if v >= 1.0:
         raise RegimeError(f"tf_lower_bound applies to v < 1, got v={v}")
-    return min(1.0, 1.0 / (beta_tsp * math.sqrt(v * lam * W)))
+    scale = beta_tsp * math.sqrt(v * lam * W)
+    if scale <= 1.0:         # the quotient is at least 1, also when the product underflows to 0
+        return 1.0
+    return 1.0 / scale
 
 
 def applicable_bounds(v: float, lam: float, W: float, L: float) -> dict[str, float]:

@@ -154,11 +154,13 @@ def _chain(x: float, t_now: float, ks, cols: tuple) -> list[int]:
     ks is a sized iterable of positions in any time order; a unit-step
     range, such as the event kernel's `outstanding` on the deadline, is
     read as a slice, and anything else by indexing.  One vectorised escape
-    check over all of ks, mask and lexsort per call; only the patience sort
-    over the kept w runs in Python.  It records each demand's pile, and one
-    backward walk picks the chain: a demand's predecessor is the latest
-    earlier demand on the pile below.  Only the chain's positions leave
-    numpy.
+    check over all of ks and one mask per call, then an argsort on u, and
+    a lexsort by (u, w, id) only on a u tie (-0.0 == 0.0 and inf == inf
+    count as ties): with no two u equal, the order by u alone is the
+    (u, w, id) order.  Only the patience sort over the kept w runs in
+    Python.  It records each demand's pile, and one backward walk picks
+    the chain: a demand's predecessor is the latest earlier demand on the
+    pile below.  Only the chain's positions leave numpy.
     """
     u, w, esc, ids, l_v = cols
     if isinstance(ks, range) and ks.step == 1:
@@ -175,7 +177,12 @@ def _chain(x: float, t_now: float, ks, cols: tuple) -> list[int]:
     if not len(keep):
         return []
     pos = keep + base if base is not None else at[keep]
-    pos = pos[np.lexsort((ids[pos], wk[keep], uk[keep]))]
+    uk = uk[keep]
+    order = uk.argsort()
+    us = uk[order]
+    if (us[1:] == us[:-1]).any():       # a u tie: the order by u alone is not unique
+        order = np.lexsort((ids[pos], wk[keep], uk))
+    pos = pos[order]
 
     # patience sorting for the longest nondecreasing subsequence in w
     tails: list[float] = []

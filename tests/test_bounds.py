@@ -4,11 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardsim import (
     BETA_TSP,
+    ContractViolationError,
     ParameterDomainError,
     RegimeError,
+    SizeLimitError,
     applicable_bounds,
     causal_upper_bound,
     erf,
@@ -170,3 +174,65 @@ def test_applicable_bounds_by_regime():
     slow = applicable_bounds(0.05, 2.0, 100.0, 200.0)
     assert set(slow) == {"causal_upper_bound", "tf_lower_bound"}
     assert slow["tf_lower_bound"] == tf_lower_bound(0.05, 2.0, 100.0)
+
+
+def test_causal_upper_bound_where_the_load_underflows():
+    # v*lam*W underflows to 0 although every argument is positive: the
+    # bound is the cap, not a division by zero
+    assert causal_upper_bound(0.5, 5e-324, 10.0) == 1.0
+    assert causal_upper_bound(0.5, 1e-200, 1e-200) == 1.0
+
+
+def test_tf_lower_bound_where_the_load_underflows():
+    # v*lam*W underflows to 0, or beta_tsp * sqrt(v*lam*W) does
+    assert tf_lower_bound(0.5, 5e-324, 10.0) == 1.0
+    assert tf_lower_bound(0.5, 1.0, 1e-300, beta_tsp=1e-300) == 1.0
+    assert applicable_bounds(0.5, 5e-324, 10.0, 20.0) == {
+        "causal_upper_bound": 1.0, "tf_lower_bound": 1.0}
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+       lam=_POSITIVE, W=_POSITIVE, beta=_POSITIVE)
+def test_slow_bounds_keep_their_closed_form(v, lam, W, beta):
+    # wherever min{1, c / denominator} has a nonzero denominator, the cap
+    # test gives that value bit for bit
+    root = math.sqrt(v * lam * W)
+    if root:
+        assert causal_upper_bound(v, lam, W) == min(1.0, 2.0 / root)
+    if beta * root:
+        assert tf_lower_bound(v, lam, W, beta_tsp=beta) == min(1.0, 1.0 / (beta * root))
+
+
+_BAD = [None, True, False, "1", float("nan"), math.inf, -math.inf, -1.0, -5e-324, 0, 0.0,
+        -0.0, 5e-324, 1e308, sys.float_info.max, 10 ** 400]
+_GOOD = {"x": [0.0, 0.7, -3.0], "v": [0.05, 0.5, 0.99, 1.0, 2.0], "lam": [0.25, 1.0, 1e3],
+         "W": [1.0, 10.0, 120.0], "L": [20.0, 500.0], "beta_tsp": [BETA_TSP, 1e-3]}
+_BOUNDS = [(erf, ["x"]), (lp_lower_bound, ["lam", "W"]), (lp_competitive_factor, ["v", "W", "L"]),
+           (causal_upper_bound, ["v", "lam", "W"]), (tf_lower_bound, ["v", "lam", "W", "beta_tsp"]),
+           (applicable_bounds, ["v", "lam", "W", "L"])]
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_bounds_fuzzed_one_argument_at_a_time(data):
+    # good arguments, one of them replaced by a bad value: each call returns
+    # a fraction in [0, 1] (erf: a finite number) or raises a guardsim error
+    fn, names = data.draw(st.sampled_from(_BOUNDS), label="function")
+    kwargs = {name: data.draw(st.sampled_from(_GOOD[name]), label=name) for name in names}
+    bad = data.draw(st.sampled_from(names), label="replaced")
+    kwargs[bad] = data.draw(st.sampled_from(_BAD), label="bad value")
+    try:
+        got = fn(**kwargs)
+    except (ContractViolationError, ParameterDomainError, RegimeError, SizeLimitError):
+        return
+    values = list(got.values()) if fn is applicable_bounds else [got]
+    for value in values:
+        assert isinstance(value, float), value
+        if fn is erf:
+            assert math.isfinite(value), value
+        else:
+            assert 0.0 <= value <= 1.0, (kwargs, got)

@@ -55,6 +55,15 @@ def test_simulate_where_lam_w_overflows(capsys):
     assert 0.0 <= out["mean"] <= 1.0
 
 
+def test_simulate_where_the_load_underflows(capsys):
+    # v*lam*W underflows to 0; both v < 1 bounds are their cap of 1
+    rc = main(["simulate", "--policy", "tf", "--v", "0.5", "--lam", "5e-324",
+               "--n-demands", "0", "--runs", "1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["bounds"] == {"causal_upper_bound": 1.0, "tf_lower_bound": 1.0}
+
+
 def test_gen_stream_file_and_stdout(tmp_path, capsys):
     path = str(tmp_path / "s.jsonl")
     rc = main(["gen-stream", "--W", "10", "--L", "20", "--v", "2", "--lam", "1",

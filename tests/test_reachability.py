@@ -255,6 +255,58 @@ def test_chain_names_the_first_escaped_demand_in_ks_order():
                                                               ids, l_v) == [0, 2]
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chain_equals_the_pure_python_chain_on_tie_free_columns(data):
+    # continuous columns in any time order, up to 300 demands: no two u
+    # values are equal, so _chain orders by its argsort on u alone; the
+    # same four forms of ks, a vehicle that filters out some demands, and
+    # in some draws demands in ks already escaped at t_now
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    n = data.draw(st.integers(0, 300), label="n")
+    t_arr = rng.uniform(0.0, 100.0, n).tolist()
+    xs = rng.uniform(0.0, 20.0, n).tolist()
+    ids = rng.choice(10 ** 6, n, replace=False).tolist()
+    l_v = float(rng.uniform(1.0, 40.0))
+    x = float(rng.uniform(0.0, 20.0))
+    t_now = float(rng.uniform(-20.0, 100.0))
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    form = data.draw(st.sampled_from(["range", "list", "dict", "step 2"]), label="ks")
+    if form == "range":
+        ks = range(lo, hi)
+    elif form == "step 2":
+        ks = range(lo, hi, 2)
+    else:
+        ks = rng.permutation(n).tolist()[:hi - lo]
+        ks = ks if form == "list" else dict.fromkeys(ks)
+    if data.draw(st.booleans(), label="unescaped") and len(ks):
+        t_now = min(t_now, min(t_arr[k] for k in ks) + l_v / 2)       # nothing escaped
+    cols = _chain_columns(t_arr, xs, ids, l_v)
+    assert len(np.unique(cols[0])) == n                                # tie-free u
+    try:
+        want = chain_reference(x, t_now, ks, t_arr, xs, ids, l_v)
+    except ContractViolationError as exc:
+        with pytest.raises(ContractViolationError) as got:
+            _chain(x, t_now, ks, cols)
+        assert str(got.value) == str(exc)
+    else:
+        assert _chain(x, t_now, ks, cols) == want
+
+
+def test_chain_orders_a_u_tie_by_w():
+    # positions 0 and 2 share u = 5, and the larger w (19 against 15) comes
+    # first in ks; position 0 can follow position 2, so the plan holds
+    # both, in (u, w) order, from every form of ks; position 1 is out of
+    # the vehicle's reach
+    t_arr, xs, ids, l_v = [12.0, 13.0, 10.0], [7.0, 20.0, 5.0], [0, 1, 2], 4.0
+    cols = _chain_columns(t_arr, xs, ids, l_v)
+    for ks in (range(3), range(0, 3, 2), [0, 2], [0, 1, 2], dict.fromkeys([0, 2])):
+        want = chain_reference(5.0, 9.0, ks, t_arr, xs, ids, l_v)
+        assert want == [2, 0]
+        assert _chain(5.0, 9.0, ks, cols) == want
+
+
 def test_plan_feasibility_invariants():
     rng = np.random.default_rng(27)
     for _ in range(50):
