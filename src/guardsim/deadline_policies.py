@@ -67,7 +67,7 @@ def write_trace_jsonl(result: RunResult, path: str) -> None:
 
 
 # one mark per stream position; every position is open until it resolves
-_OPEN, _PROTECTED, _RESOLVED = 0, 1, 2
+_OPEN, _RESOLVED = 0, 1
 _OPEN_BYTE, _RESOLVED_BYTE = bytes((_OPEN,)), bytes((_RESOLVED,))
 
 
@@ -79,9 +79,9 @@ class _EventKernel:
     never writes to them.  It and the planners name a demand by its
     position k in the stream, and a trace event names ids[k].  It admits
     the arrivals and fires the escapes in time order while the policy moves
-    the vehicle along motion legs and captures.  It alone owns a demand's
-    state, which is two cursors into the stream plus one mark per position
-    (open, protected or resolved), with the current leg, the counters and
+    the vehicle along motion legs and commits captures.  It alone owns a
+    demand's state, which is two cursors into the stream plus one mark per
+    position (open or resolved), with the current leg, the counters and
     the trace.  Arrivals increase strictly, and each demand escapes L/v
     after it arrives, so escapes come in arrival order too: `arrived`
     counts the demands admitted so far, and `_passed` counts those whose
@@ -89,7 +89,7 @@ class _EventKernel:
     arrivals and the window of escapes it crosses by bisection over the
     arrival instants and the escape instants `t_esc` = t_arr + L/v, which
     are computed once per run from the stream's arrays (one stream may
-    serve several environments) and which GP reads too, and
+    serve several environments) and which GP and TF read too, and
     counts and resolves the open marks of its escape window in a few
     `bytearray` operations.  A position is outstanding once it has arrived
     and until it resolves; `outstanding` lists them in arrival order.  On
@@ -105,11 +105,11 @@ class _EventKernel:
     dur, x = x_from + frac * (x_to - x_from).  The two round differently,
     so both stay.  Trace positions are computed only when a trace is kept.
 
-    Ties: in `advance` an escape fires before an arrival at the same
-    instant, and before the capture the policy makes at t_end; escapes at
-    one instant fire in arrival order.  Committed targets never escape: a
-    deadline commit marks them resolved before it moves, and TF protects
-    its target before each capture.  The policies order the rest:
+    Ties: an escape fires before an arrival or a capture at the same
+    instant; escapes at one instant fire in arrival order.  Committed
+    targets never escape: a commit marks them resolved before it moves, and
+    in the strip takes a target only while it is outstanding at the
+    previous capture instant.  The policies order the rest:
     - deadline: capture, recompute, arrival, recompute.  LP and GP replan
       at a capture instant before they admit the arrival there, and again
       after it; NCLP never replans.  A plan made at t is committed at once:
@@ -121,8 +121,8 @@ class _EventKernel:
       (arrivals strictly before it, escapes through it) and picks again, so
       each pick is the one a replan at that instant would make; its commit
       logs a recompute after every capture but the last.
-    - strip: capture, arrival, recompute.  TF admits the arrivals at the
-      end of a sweep before it plans the next one.
+    - strip: capture, arrival, recompute.  TF commits a whole sweep, then
+      admits the arrivals at its end before it plans the next one.
     """
 
     def __init__(self, stream: DemandStream, start, trace: bool, strip: bool = False):
@@ -158,16 +158,6 @@ class _EventKernel:
             mark = self._mark
             return [k for k in ks if mark[k] != _RESOLVED]
         return ks
-
-    def is_outstanding(self, k: int) -> bool:
-        return 0 <= k < self.arrived and self._mark[k] != _RESOLVED
-
-    def protect(self, k: int) -> None:
-        """Keep the outstanding demand at position k from escaping until
-        it is captured."""
-        if not self.is_outstanding(k):
-            raise ContractViolationError(f"demand {self.stream.ids[k]} is not outstanding")
-        self._mark[k] = _PROTECTED
 
     def _x_at(self, t: float) -> float:
         t0, x_from, x_to, dur = self.leg
@@ -221,56 +211,57 @@ class _EventKernel:
         for a in range(a, a1):
             events.append(TraceEvent(t_arr[a], "arrival", ids[a], x_at(t_arr[a])))
 
-    def capture(self, k: int, t: float) -> None:
-        """Capture the outstanding demand at position k at t; the vehicle is
-        then at its abscissa."""
-        if not self.is_outstanding(k):
-            raise ContractViolationError(
-                f"demand {self.stream.ids[k]} is not outstanding at t={t}")
-        self._mark[k] = _RESOLVED
-        self.n_capt += 1
-        if self.events is not None:
-            self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
+    def commit(self, ks: list[int], t: float, x: float, legs=None, _replans: bool = False):
+        """Capture the positions ks in order, from the vehicle at x at t, and
+        return its (t, x) afterwards.  On the deadline each is captured on
+        its deadline: slide to its abscissa and wait.  In the strip, legs
+        holds each capture's (instant, duration) of its straight leg.  With
+        _replans (GP's greedy chain), a kept trace logs a recompute after
+        every capture but the last, where the policy replanned.
 
-    def commit(self, ks: list[int], t: float, x: float, _replans: bool = False):
-        """Capture the positions ks in order, each on its deadline: slide to
-        its abscissa and wait.  Returns the vehicle's (t, x) afterwards.
-        With _replans (GP's greedy chain), a kept trace logs a recompute
-        after every capture but the last, where the policy replanned.
-
-        The capture instants are fixed, so the commit is one pass over ks,
+        The capture instants are known, so the commit is one pass over ks,
         which checks each position and marks it resolved, and one cursor
         move to the last instant.  The move resolves only open marks, so no
         position of ks escapes on the way, and it admits every arrival
         before the last instant, those at t among them.  A kept trace logs
         the move's window per capture: that capture's leg, the escapes at
         or before its instant and the arrivals strictly before it, then the
-        capture, as a capture-by-capture walk would.  Each position must
-        arrive before its capture instant and be unresolved, once in ks,
-        with instants that never decrease; otherwise ContractViolationError,
-        and the pass reopens what it marked, so no state changes."""
+        capture, as a capture-by-capture walk would.  Each position must be
+        unresolved, once in ks, at instants that never decrease, and arrive
+        before its capture instant on the deadline, or in the strip be
+        outstanding at the previous capture instant (t for the first); it
+        may be captured past its escape instant.  Otherwise
+        ContractViolationError, and the pass reopens what it marked."""
         if not ks:
             return t, x
         t_arr, t_esc, mark = self._t_arr, self.t_esc, self._mark
         n, arrived, t_k = len(mark), self.arrived, t
-        for i, k in enumerate(ks):
-            if not (0 <= k < n and mark[k] == _OPEN and t_k <= t_esc[k]
-                    and (k < arrived or t_arr[k] < t_esc[k])):
-                for j in ks[:i]:
-                    mark[j] = _OPEN
+        if legs is None:
+            for i, k in enumerate(ks):
+                if not (0 <= k < n and mark[k] == _OPEN and t_k <= t_esc[k]
+                        and (k < arrived or t_arr[k] < t_esc[k])):
+                    self._refuse(ks[:i], k, t)
+                mark[k] = _RESOLVED
+                t_k = t_esc[k]
+        else:
+            if len(legs) != len(ks):
                 raise ContractViolationError(
-                    f"cannot commit position {k} at t={t}: not outstanding before its "
-                    f"capture instant, repeated, or captured out of time order")
-            mark[k] = _RESOLVED
-            t_k = t_esc[k]
+                    f"cannot commit {len(ks)} positions with {len(legs)} legs")
+            for i, (k, (t_c, _)) in enumerate(zip(ks, legs)):
+                if not (0 <= k < n and mark[k] == _OPEN and t_k < t_esc[k] and t_k <= t_c
+                        and (k < arrived or t_arr[k] < t_k)):
+                    self._refuse(ks[:i], k, t)
+                mark[k] = _RESOLVED
+                t_k = t_c
         a, p = self.arrived, self._passed
         fired = self._move(t_k, False)
         self.n_capt += len(ks)
         if self.events is not None:
             ids, xs, events, i, last = self.stream.ids, self.stream.x, self.events, 0, ks[-1]
-            for k in ks:        # the cursors of advance(t_k, False), capture(k, t_k)
-                t_k, x_k = t_esc[k], xs[k]
-                self.leg = (t, x, x_k, abs(x_k - x))
+            for c, k in enumerate(ks):      # the cursors of a capture-by-capture walk
+                x_k = xs[k]
+                t_k, dur = (t_esc[k], abs(x_k - x)) if legs is None else legs[c]
+                self.leg = (t, x, x_k, dur)
                 a_k = bisect_left(t_arr, t_k, a)
                 p = bisect_right(t_esc, t_k, p, a_k)
                 j = bisect_left(fired, p, i)
@@ -282,6 +273,13 @@ class _EventKernel:
         x = self._x_arr.item(ks[-1])
         self.leg = (t_k, x, x, 0.0)
         return t_k, x
+
+    def _refuse(self, marked: list[int], k: int, t: float):
+        for j in marked:
+            self._mark[j] = _OPEN
+        raise ContractViolationError(
+            f"cannot commit position {k} at t={t}: not outstanding in time for its "
+            f"capture, repeated, or captured out of time order")
 
     def recompute(self, t: float, x: float) -> None:
         if self.events is not None:

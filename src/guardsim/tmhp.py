@@ -647,15 +647,17 @@ def _plan(P: np.ndarray, v: float):
 def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
     """Repeatedly sweep the lower half strip along a planned path.
 
-    Each iteration plans a path from the vehicle through every outstanding
-    demand at ordinate <= L/2, ending at the lowest one, and follows it for
-    at most L/(2v) time units; a leg cut off by the budget is abandoned
-    mid-flight.  Captures happen only at planned intercepts.  start is the
-    vehicle's (x, y), by default (W/2, L/2).
+    Each sweep plans at t a path from the vehicle through the ready demands,
+    the outstanding ones with v (t - t_arr) <= L/2, that ends at the lowest,
+    the smallest id among equally low ones.  It captures each target at its
+    intercept if that is at or before t + L/(2v), skips one that escaped at
+    or before the previous capture instant, and cuts at t + L/(2v) the
+    first leg that would end later.  A sweep is one kernel commit and one
+    advance.  start is the vehicle's (x, y), by default (W/2, L/2).
     """
     sim = _EventKernel(stream, start, trace, strip=True)
     v, L = sim.env.v, sim.env.L
-    t_arr, xs, ids = stream.t_arr, stream.x, stream.ids
+    t_arr, xs, ids, t_esc = stream.t_arr, stream.x, stream.ids, sim.t_esc
     pos, t = sim.start, 0.0
     while True:
         ready = [k for k in sim.outstanding if v * (t - t_arr[k]) <= L / 2.0]
@@ -673,34 +675,33 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
                      dtype=float)
         order, _, _ = _plan(P, v)
         sim.recompute(t, pos[0])
-        targets = [others[j] for j in order] + [finish]
-        t_stop = t + L / (2.0 * v)
+        ks, legs, end, t_end, cut = _sweep(pos, t, [others[j] for j in order] + [finish],
+                                           t_arr, xs, t_esc, v, t + L / (2.0 * v))
+        sim.commit(ks, t, pos[0], legs)
+        sim.leg = cut or (t_end, end[0], end[0], 0.0)
+        sim.advance(t_end, True)
+        pos, t = end, t_end
 
-        for k in targets:
-            if not sim.is_outstanding(k):
-                continue          # escaped at the budget boundary mid-path
-            now = (xs[k], v * (t - t_arr[k]))
-            T = _intercept_time(pos, now, v)
-            t_meet = t + T
-            aim = (xs[k], now[1] + v * T)
-            sim.leg = (t, pos[0], aim[0], T)
-            if t_meet <= t_stop:
-                sim.protect(k)
-                sim.advance(t_meet, False)
-                sim.capture(k, t_meet)
-                pos, t = aim, t_meet
-            else:
-                # budget exhausted mid-leg: stop on the segment and abandon
-                # the chase (if the target is exactly at the deadline now,
-                # its escape fires like any other)
-                rem = t_stop - t
-                sim.advance(t_stop, True)
-                frac = rem / T
-                pos = (pos[0] + frac * (aim[0] - pos[0]),
-                       pos[1] + frac * (aim[1] - pos[1]))
-                t = t_stop
-                break
-        else:
-            # path completed within budget; admit anything that landed at t
-            sim.leg = (t, pos[0], pos[0], 0.0)
-            sim.advance(t, True)
+
+def _sweep(pos, t, targets, t_arr, xs, t_esc, v: float, t_stop: float):
+    """run_tf's sweep through targets, in order, from the vehicle at pos at
+    t: (ks, legs, end, t_end, cut), the captured positions, their (capture
+    instant, leg duration), and where the vehicle ends.  That is the last
+    capture, with cut None, or the point end at t_end = t_stop on the cut
+    leg, cut = (t0, x_from, x_to, dur)."""
+    ks, legs = [], []
+    for k in targets:
+        if t_esc[k] <= t:
+            continue            # escaped at or before the previous capture
+        y = v * (t - t_arr[k])
+        T = _intercept_time(pos, (xs[k], y), v)
+        t_meet, aim = t + T, (xs[k], y + v * T)
+        if t_meet <= t_stop:
+            ks.append(k)
+            legs.append((t_meet, T))
+            pos, t = aim, t_meet
+            continue
+        frac = (t_stop - t) / T         # budget spent mid-leg: stop on the segment
+        end = (pos[0] + frac * (aim[0] - pos[0]), pos[1] + frac * (aim[1] - pos[1]))
+        return ks, legs, end, t_stop, (t, pos[0], aim[0], T)
+    return ks, legs, pos, t, None

@@ -9,22 +9,23 @@ the reachability predicate and the deadline edge relation, the graph DP
 `longest_path` that checks the chain planner, `chain_reference`, that
 planner in pure Python, `tour`, the closed tour built from emhp_heuristic,
 and `ReferenceKernel`, a naive event kernel that the policies can run on in
-place of `_EventKernel`, and `gp_stepwise`, GP with one capture per plan
-run on it.
+place of `_EventKernel`, `gp_stepwise`, GP with one capture per plan run on
+it, and `tf_reference` with its `tf_sweep`, TF by the rules its docstring
+states, run on it too.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, takewhile
 
 import numpy as np
 from hypothesis import strategies as st
 
 from guardsim import (ContractViolationError, Demand, DemandStream, ParameterDomainError,
                       PathPlan, RegimeError, RunResult, TraceEvent, build_reach_graph,
-                      emhp_heuristic)
+                      emhp_heuristic, tmhp)
 from guardsim.deadline_policies import _check_start, _run
 
 
@@ -636,18 +637,21 @@ class ReferenceKernel:
     """The event kernel as the `_EventKernel` docstring defines it, naively.
 
     It has the interface the policies use (`env`, `start`, `stream`, `l_v`,
-    `t_esc`, `arrived`, `outstanding`, `is_outstanding`, `protect`, `leg`,
-    `advance`, `capture`, `commit`, `recompute`, `finish`), names a demand
-    by its position in the stream, keeps one state per position and finds
-    each next event in `advance` by scanning every position, O(n) per event.  An
-    event is the earliest of: the escape, at t_arr + L/v, of an outstanding
-    demand that is not protected, and the arrival of a demand not yet
-    arrived.  At one instant an escape comes first, and escapes go in
-    arrival order.  Vehicle abscissae come from the two documented leg
-    formulas.  `commit` walks its captures one at a time: it protects them
-    all, then slides to each one's abscissa, advances to its deadline and
-    captures it; with `_replans` it logs a recompute after each capture but
-    the last.
+    `t_esc`, `arrived`, `outstanding`, `leg`, `advance`, `commit`,
+    `recompute`, `finish`), names a demand by its position in the stream,
+    keeps one state per position and finds each next event in `advance` by
+    scanning every position, O(n) per event.  An event is the earliest of:
+    the escape, at t_arr + L/v, of an outstanding demand that is not
+    protected, and the arrival of a demand not yet arrived.  At one instant
+    an escape comes first, and escapes go in arrival order.  Vehicle
+    abscissae come from the two documented leg formulas.  `commit` walks
+    its captures one at a time.  On the deadline it protects them all, then
+    slides to each one's abscissa, advances to its deadline and captures
+    it; with `_replans` it logs a recompute after each capture but the
+    last.  In the strip it takes each capture's (instant, duration) from
+    `legs`: it requires the target to be outstanding where the last leg
+    ended and the instant not to go back, protects that target alone,
+    crosses the leg and captures it.
     """
 
     def __init__(self, stream, start, trace, strip=False):
@@ -709,16 +713,8 @@ class ReferenceKernel:
                 self.events.append(TraceEvent(t, ("escape", "arrival")[kind],
                                               self.stream.ids[k], self._x_at(t)))
 
-    def is_outstanding(self, k):
-        return self.state[k] == "outstanding"
-
-    def protect(self, k):
-        if not self.is_outstanding(k):
-            raise ContractViolationError(f"demand {self.stream.ids[k]} is not outstanding")
-        self.protected.add(k)
-
-    def capture(self, k, t):
-        if not self.is_outstanding(k):
+    def _capture(self, k, t):
+        if self.state[k] != "outstanding":
             raise ContractViolationError(
                 f"demand {self.stream.ids[k]} is not outstanding at t={t}")
         self.state[k] = "captured"
@@ -728,13 +724,22 @@ class ReferenceKernel:
         if self.events is not None:
             self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
 
-    def commit(self, ks, t, x, _replans=False):
-        self.protected.update(ks)           # NCLP commits demands yet to arrive
+    def commit(self, ks, t, x, legs=None, _replans=False):
+        if legs is None:
+            self.protected.update(ks)       # NCLP commits demands yet to arrive
         for n, k in enumerate(ks, 1):
-            t_cap, x_k = self.stream.t_arr[k] + self.l_v, self.stream.x[k]
-            self.leg = (t, x, x_k, abs(x_k - x))
+            x_k = self.stream.x[k]
+            if legs is None:
+                t_cap, dur = self.t_esc[k], abs(x_k - x)
+            else:
+                t_cap, dur = legs[n - 1]
+                if self.state[k] != "outstanding" or not t <= t_cap:
+                    raise ContractViolationError(
+                        f"cannot commit demand {self.stream.ids[k]} at t={t_cap}")
+                self.protected.add(k)
+            self.leg = (t, x, x_k, dur)
             self.advance(t_cap, False)
-            self.capture(k, t_cap)
+            self._capture(k, t_cap)
             if _replans and n < len(ks):    # GP's chain replans at each capture
                 self.recompute(t_cap, x_k)
             t, x = t_cap, x_k
@@ -772,3 +777,67 @@ def gp_stepwise(stream, start_x=None, trace=False):
         return [] if best is None else [best]
 
     return _run(sim, planner)
+
+
+def tf_sweep(pos, t, targets, stream, t_stop):
+    """One TF sweep by the rules of `run_tf`'s docstring, in two passes: the
+    chain of intercepts through targets as if the budget never ran out,
+    which skips each target that escapes at or before the previous capture
+    instant, and then the cut of that chain at its first intercept past
+    t_stop.  It returns what `tmhp._sweep` returns, (ks, legs, end, t_end,
+    cut), and meets each target by the same closed form."""
+    v, l_v = stream.env.v, stream.env.L / stream.env.v
+    chain = []                  # (k, leg start, vehicle there, leg duration, aim point)
+    for k in targets:
+        t_arr, x = stream.t_arr[k], stream.x[k]
+        if t_arr + l_v <= t:
+            continue
+        y = v * (t - t_arr)
+        T = tmhp._intercept_time(pos, (x, y), v)
+        chain.append((k, t, pos, T, (x, y + v * T)))
+        pos, t = chain[-1][4], t + T
+    kept = list(takewhile(lambda c: c[1] + c[3] <= t_stop, chain))
+    ks, legs = [c[0] for c in kept], [(c[1] + c[3], c[3]) for c in kept]
+    if len(kept) == len(chain):
+        return ks, legs, pos, t, None
+    _, t0, p, T, aim = chain[len(kept)]
+    frac = (t_stop - t0) / T
+    end = (p[0] + frac * (aim[0] - p[0]), p[1] + frac * (aim[1] - p[1]))
+    return ks, legs, end, t_stop, (t0, p[0], aim[0], T)
+
+
+def tf_reference(stream, start=None, trace=False):
+    """TF as `run_tf`'s docstring states it, the oracle of `run_tf`, on
+    `ReferenceKernel`.  At each plan instant t the ready demands are the
+    outstanding ones with v (t - t_arr) <= L/2; the path ends at the lowest
+    of them, the smallest id among equally low ones, and `tmhp._plan`
+    orders the others, handed to it in arrival order; the sweep is
+    `tf_sweep`'s with the budget ending at t + L/(2v), committed at once
+    and followed by an advance to its end.  With no ready demand the
+    vehicle waits for the next arrival.  `run_tf` hands the planner the
+    others in another order, so the two agree where the planner's path
+    does not depend on the order of its points."""
+    sim = ReferenceKernel(stream, start, trace, strip=True)
+    v, L = stream.env.v, stream.env.L
+    t_arr, xs, ids = stream.t_arr, stream.x, stream.ids
+    pos, t = sim.start, 0.0
+    while True:
+        ready = [k for k in sim.outstanding if v * (t - t_arr[k]) <= L / 2]
+        if not ready:
+            sim.leg = (t, pos[0], pos[0], 0.0)
+            if sim.arrived == len(stream):
+                return sim.finish()
+            t = t_arr[sim.arrived]
+            sim.advance(t, True)
+            continue
+        finish = min(ready, key=lambda k: (v * (t - t_arr[k]), ids[k]))
+        others = [k for k in ready if k != finish]
+        P = np.array([pos] + [(xs[k], v * (t - t_arr[k])) for k in others + [finish]])
+        order, _, _ = tmhp._plan(P, v)
+        sim.recompute(t, pos[0])
+        ks, legs, end, t_end, cut = tf_sweep(pos, t, [others[j] for j in order] + [finish],
+                                             stream, t + L / (2 * v))
+        sim.commit(ks, t, pos[0], legs)
+        sim.leg = cut or (t_end, end[0], end[0], 0.0)
+        sim.advance(t_end, True)
+        pos, t = end, t_end

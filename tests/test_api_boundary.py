@@ -1,8 +1,10 @@
-"""Malformed values at the stream and planner boundaries of the library, one
-argument at a time: `DemandStream(env, seed, demands)`, `longest_chain_fast`,
-`build_reach_graph`, `g_map`, `g_inv`, `intercept_time`, `emhp_exact`,
-`emhp_heuristic` and `TmhpInstance` -> `tmhp_solve` return normally or raise
-a `guardsim.errors` exception, never a bare TypeError, AttributeError or the
+"""Malformed values at the stream, planner, run and harness boundaries of the
+library, one argument at a time: `DemandStream(env, seed, demands)`,
+`longest_chain_fast`, `build_reach_graph`, `g_map`, `g_inv`,
+`intercept_time`, `emhp_exact`, `emhp_heuristic`, `TmhpInstance` ->
+`tmhp_solve`, the start of each policy run and LP's eta, and each field of an
+`ExperimentSpec` run through `sweep` return normally or raise a
+`guardsim.errors` exception, never a bare TypeError, AttributeError or the
 like."""
 import dataclasses
 import math
@@ -11,10 +13,11 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guardsim import (ContractViolationError, Demand, DemandStream, ParameterDomainError,
-                      RegimeError, SizeLimitError, TmhpInstance, VehicleState,
-                      build_reach_graph, emhp_exact, emhp_heuristic, g_inv, g_map,
-                      intercept_time, longest_chain_fast, make_env, tmhp_solve)
+from guardsim import (ContractViolationError, Demand, DemandStream, ExperimentSpec,
+                      ParameterDomainError, RegimeError, SizeLimitError, TmhpInstance,
+                      VehicleState, build_reach_graph, emhp_exact, emhp_heuristic, g_inv,
+                      g_map, intercept_time, longest_chain_fast, make_env, run_gp, run_lp,
+                      run_nclp, run_tf, sweep, tmhp_solve)
 
 GUARDSIM_ERRORS = (ContractViolationError, ParameterDomainError, RegimeError, SizeLimitError)
 
@@ -153,3 +156,31 @@ def test_tmhp_solve_with_a_malformed_argument(data, value, where):
                                        value if where == "v" else 0.5))
 
     _returns_or_raises_a_guardsim_error(build_and_solve)
+
+
+# the runs: a start or LP's eta; the harness: one field of a small spec
+DEADLINE_STREAM = DemandStream(ENV, 0, RECORDS)
+STRIP_STREAM = DemandStream(make_env(W=10.0, L=20.0, v=0.5, lam=1.0), 0, RECORDS)
+RUNS = {
+    "run_nclp start_x": lambda value: run_nclp(DEADLINE_STREAM, start_x=value),
+    "run_lp start_x": lambda value: run_lp(DEADLINE_STREAM, start_x=value),
+    "run_gp start_x": lambda value: run_gp(DEADLINE_STREAM, start_x=value),
+    "run_lp eta": lambda value: run_lp(DEADLINE_STREAM, eta=value),
+    "run_tf start": lambda value: run_tf(STRIP_STREAM, start=value),
+}
+SPECS = [ExperimentSpec("gp", ENV, n_demands=20, runs=2, sweep=(0.5, 1.0, 0.5)),
+         ExperimentSpec("tf", STRIP_STREAM.env, n_demands=20, runs=2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=MALFORMED, where=st.sampled_from(sorted(RUNS)))
+def test_policy_run_with_a_malformed_argument(data, value, where):
+    if where == "run_tf start":
+        value = _bad_point(data, (5.0, 10.0), value)
+    _returns_or_raises_a_guardsim_error(RUNS[where], value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=MALFORMED, spec=st.sampled_from(SPECS))
+def test_sweep_with_a_malformed_spec_field(data, value, spec):
+    _returns_or_raises_a_guardsim_error(lambda: sweep(_replace_field(spec, data, value)))

@@ -9,8 +9,10 @@ The hand traces pin the order of simultaneous events in each regime, and a
 property test runs all four policies over streams on a 0.5 lattice, where
 events often coincide.  Property tests run every policy on `_EventKernel`
 and on `_oracles.ReferenceKernel`, which applies the documented rules by
-brute force, and require the same trace; others scale a stream by a power
-of two and require the same trace, scaled.  A generated stream and the same
+brute force, and require the same trace; TF must also give the trace of
+`_oracles.tf_reference`, TF by its docstring's rules, and its sweep
+function that of the oracle's sweep.  Others scale a stream by a power of
+two and require the same trace, scaled.  A generated stream and the same
 stream rebuilt from its records must run alike, and no run may build a
 `Demand` record: runs read the stream's columns, and untraced NCLP and LP
 runs leave a generated stream's ids and x columns unbuilt.
@@ -41,7 +43,7 @@ from guardsim import deadline_policies, tmhp
 from guardsim.deadline_policies import _EventKernel
 
 from ._oracles import (ReferenceKernel, check_plan, check_trace, gp_choice, gp_stepwise,
-                       lattice_stream, longest_path)
+                       lattice_stream, longest_path, tf_reference, tf_sweep)
 
 DEADLINE_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=0.25)
 STRIP_ENV = make_env(W=100.0, L=25.0, v=0.05, lam=1.6)
@@ -217,6 +219,21 @@ def test_tf_escape_at_capture_instant():
         ("escape", 2), ("escape", 1), ("capture", 3),
     ]
     assert trace[-2][2] == trace[-1][2] == t_meet
+
+
+def test_tf_finish_tie_goes_to_the_smallest_id():
+    # Two demands in one column arrive 1e-300 apart.  The first sweep, to
+    # the first one alone, is cut at t = L/(2v) = 2, where 2 - 1e-300 rounds
+    # to 2: both stand at exactly L/2, ready and equally low.  The path ends
+    # at the smaller id, captured last, at the instant and point of the other.
+    env = make_env(W=10.0, L=2.0, v=0.5, lam=1.0)
+    for first, second in ((1, 0), (0, 1)):
+        s = DemandStream(env, 0, [Demand(first, 0.0, 8.0), Demand(second, 1e-300, 8.0)])
+        res = run_tf(s, start=(5.0, 1.0), trace=True)
+        assert [e[:2] for e in _trace(res)] == [
+            ("arrival", first), ("recompute", None), ("arrival", second),
+            ("recompute", None), ("capture", 1), ("capture", 0)]
+        _assert_same_run(res, tf_reference(s, start=(5.0, 1.0), trace=True))
 
 
 # (v, L) per regime; on the 0.5 lattice escapes often coincide with
@@ -466,16 +483,18 @@ def test_kernel_rejects_a_capture_of_a_demand_not_outstanding():
     s = DemandStream(DEADLINE_ENV, 0, [Demand(0, 1.0, 50.0), Demand(1, 3.0, 70.0)])
     sim = _EventKernel(s, None, False)
     sim.advance(3.0, True)
-    sim.capture(0, 10.0)
-    with pytest.raises(ContractViolationError, match="demand 0"):
-        sim.capture(0, 11.0)              # already captured
-    sim = _EventKernel(s, None, False)
+    assert sim.commit([0], 3.0, 60.0) == (251.0, 50.0)
+    with pytest.raises(ContractViolationError, match="position 0"):
+        sim.commit([0], 251.0, 50.0)      # already captured
+    s = DemandStream(STRIP_CONTRACT_ENV, 0, [Demand(0, 1.0, 5.0), Demand(1, 3.0, 7.0)])
+    sim = _EventKernel(s, None, False, strip=True)
     sim.advance(2.0, True)
-    with pytest.raises(ContractViolationError, match="demand 1"):
-        sim.capture(1, 2.0)               # has not arrived yet
+    with pytest.raises(ContractViolationError, match="position 1"):
+        sim.commit([1], 2.0, 5.0, [(4.0, 2.0)])     # has not arrived yet
     # a commit is checked whole before it changes any state, traced or not
     for trace in (False, True):
         _check_commit_contract(trace)
+        _check_strip_commit_contract(trace)
 
 
 def _kernel_state(sim):
@@ -484,23 +503,23 @@ def _kernel_state(sim):
 
 
 def _check_commit_contract(trace):
-    # L/v = 250: the deadlines are 251, 253 and 255; demand 0 is resolved
-    s = DemandStream(DEADLINE_ENV, 0, [Demand(0, 1.0, 50.0), Demand(1, 3.0, 70.0),
-                                       Demand(2, 5.0, 60.0)])
+    # L/v = 250: the deadlines are 251, 503 and 505; demand 0 is resolved
+    s = DemandStream(DEADLINE_ENV, 0, [Demand(0, 1.0, 50.0), Demand(1, 253.0, 70.0),
+                                       Demand(2, 255.0, 60.0)])
     sim = _EventKernel(s, None, trace)
-    sim.advance(3.0, True)
-    sim.capture(0, 10.0)
+    assert sim.commit([0], 1.0, 50.0) == (251.0, 50.0)
+    sim.advance(253.0, True)
     before = _kernel_state(sim)
     for ks in ([1, 0],                    # 0 is already resolved
                [1, 1], [1, 2, 1],         # 1 appears twice
                [2, 1],                    # capture instants go back in time
                [1, 3], [-1]):             # no such position
         with pytest.raises(ContractViolationError, match="commit"):
-            sim.commit(ks, 3.0, 70.0)
+            sim.commit(ks, 253.0, 70.0)
         assert _kernel_state(sim) == before
-    # demand 2 has not arrived at t = 3, but it arrives before its capture
+    # demand 2 has not arrived at t = 253, but it arrives before its capture
     # instant, as NCLP's demands do
-    assert sim.commit([1, 2], 3.0, 70.0) == (255.0, 60.0)
+    assert sim.commit([1, 2], 253.0, 70.0) == (505.0, 60.0)
     assert (sim.n_capt, sim.arrived, sim.finish().n_esc) == (3, 3, 0)
     # L/v below half an ulp of t_arr: the demand escapes as it arrives, so it
     # cannot arrive before its capture instant
@@ -510,6 +529,40 @@ def _check_commit_contract(trace):
     with pytest.raises(ContractViolationError, match="commit"):
         sim.commit([0], 0.0, 5.0)
     assert _kernel_state(sim) == before
+
+
+STRIP_CONTRACT_ENV = make_env(W=10.0, L=2.0, v=0.5, lam=1.0)     # L/v = 4
+
+
+def _check_strip_commit_contract(trace):
+    # escape instants 4, 5, 5.5 and 10; the sweep at t = 2 finds demand 0
+    # resolved, 1 and 2 outstanding and 3 yet to arrive.  A commit takes
+    # each capture's (instant, leg duration).
+    s = DemandStream(STRIP_CONTRACT_ENV, 0, [Demand(0, 0.0, 1.0), Demand(1, 1.0, 2.0),
+                                             Demand(2, 1.5, 3.0), Demand(3, 6.0, 4.0)])
+    sim = _EventKernel(s, (5.0, 1.0), trace, strip=True)
+    sim.advance(1.5, True)
+    assert sim.commit([0], 1.5, 5.0, [(2.0, 0.5)]) == (2.0, 1.0)
+    before = _kernel_state(sim)
+    for ks, legs in (
+            ([0], [(3.0, 1.0)]),                        # 0 is already resolved
+            ([1, 1], [(3.0, 1.0), (3.5, 0.5)]),         # 1 appears twice
+            ([1, 2, 1], [(3.0, 1.0), (4.0, 1.0), (4.5, 0.5)]),
+            ([2, 1], [(5.0, 3.0), (5.2, 0.2)]),         # 1 escapes at 5, the last instant
+            ([1, 3], [(3.0, 1.0), (6.5, 3.5)]),         # 3 has not arrived at 3
+            ([3], [(7.0, 5.0)]),                        # nor at 2
+            ([2, 1], [(4.0, 2.0), (3.0, 1.0)]),         # capture instants go back in time
+            ([1], [(1.0, 1.0)]),                        # before the commit's t
+            ([1, 2], [(3.0, 1.0)]),                     # a leg short
+            ([4], [(3.0, 1.0)]), ([-1], [(3.0, 1.0)])):     # no such position
+        with pytest.raises(ContractViolationError, match="commit"):
+            sim.commit(ks, 2.0, 1.0, legs)
+        assert _kernel_state(sim) == before
+    # demand 2 is captured past its escape instant 5.5, where it stays
+    # captured, and demand 3 arrives at the last capture instant, after it
+    assert sim.commit([1, 2], 2.0, 1.0, [(3.0, 1.0), (6.0, 3.0)]) == (6.0, 3.0)
+    assert (sim.n_capt, sim.n_esc, sim.arrived) == (3, 0, 3)
+    assert sim.finish().n_esc == 1
 
 
 def test_one_stream_is_safe_to_share_across_policies():
@@ -594,6 +647,65 @@ def test_escape_ties_run_as_on_the_reference_kernel(policy, data):
     x0 = 0.5 * data.draw(st.integers(0, 20))
     eta = data.draw(st.sampled_from([0.5, 1.0]))
     _assert_same_run(*_on_both_kernels(lambda: LATTICE_RUNS[policy](stream, x0, eta)))
+
+
+def _plan_by_abscissa(P, v):
+    """A planner whose path does not depend on the order of the points:
+    the points between the end points by abscissa, then ordinate."""
+    rows = P[1:-1].tolist()
+    return sorted(range(len(rows)), key=rows.__getitem__), 0.0, 0.0
+
+
+def _plan_nearest_first(P, v):
+    """Nearest neighbour from the start, ties by abscissa, then ordinate:
+    also free of the order of the points."""
+    rows, here, order = P[1:-1].tolist(), P[0].tolist(), []
+    left = set(range(len(rows)))
+    while left:
+        j = min(left, key=lambda j: (math.dist(here, rows[j]), rows[j]))
+        left.remove(j)
+        order.append(j)
+        here = rows[j]
+    return order, 0.0, 0.0
+
+
+@pytest.mark.parametrize("plan", [_plan_by_abscissa, _plan_nearest_first])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lattice_tf_runs_as_the_tf_oracle(plan, data):
+    # the oracle applies the sweep rules as run_tf's docstring states them,
+    # on the reference kernel; both sides plan with the same planner, one
+    # that the order of the points does not change, so that only the ready
+    # set, the finish demand, the budget and the skip rule are under test.
+    # On the lattice, plans often fall L/(2v) after an arrival, where a
+    # demand stands at exactly L/2, and intercepts often end a budget.
+    v, L = data.draw(st.sampled_from(SLOW_VL))
+    stream = _shuffled_ids(data, lattice_stream(data, make_env(W=5.0, L=L, v=v, lam=1.0),
+                                                max_size=10))
+    start = (0.5 * data.draw(st.integers(0, 10)), 0.5 * data.draw(st.integers(0, 2 * L)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tmhp, "_plan", plan)
+        _assert_same_run(run_tf(stream, start=start, trace=True),
+                         tf_reference(stream, start=start, trace=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tf_sweep_equals_the_oracle_sweep(data):
+    # targets drawn from the demands outstanding at a lattice instant t, in
+    # any order, from a lattice point; the budget ends at t + L/(2v), as in
+    # a run, or on one of the sweep's own intercept instants
+    v, L = data.draw(st.sampled_from(SLOW_VL))
+    stream = lattice_stream(data, make_env(W=5.0, L=L, v=v, lam=1.0), max_size=10)
+    t = 0.5 * data.draw(st.integers(0, 44))
+    t_esc = (stream.arrays[0] + L / v).tolist()      # as the kernel computes them
+    alive = [k for k in range(len(stream)) if stream.t_arr[k] <= t < t_esc[k]]
+    targets = data.draw(st.permutations(alive))
+    pos = (0.5 * data.draw(st.integers(0, 10)), 0.5 * data.draw(st.integers(0, 2 * L)))
+    intercepts = [t_c for t_c, _ in tf_sweep(pos, t, targets, stream, math.inf)[1]]
+    t_stop = data.draw(st.sampled_from([t + L / (2.0 * v)] + intercepts))
+    assert tmhp._sweep(pos, t, targets, stream.t_arr, stream.x, t_esc, v, t_stop) == \
+        tf_sweep(pos, t, targets, stream, t_stop)
 
 
 @pytest.mark.parametrize("policy", sorted(LATTICE_RUNS))
