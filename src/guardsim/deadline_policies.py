@@ -22,7 +22,7 @@ from .errors import ContractViolationError, ParameterDomainError, RegimeError, i
 from .reachability import _chain, _chain_columns, longest_chain_fast  # noqa: F401
 
 
-@dataclass
+@dataclass(slots=True)              # slotted: a trace builds one per event
 class TraceEvent:
     """One simulation event; vehicle_x is the abscissa when it happened."""
 
@@ -61,71 +61,62 @@ class RunResult:
 
 
 def write_trace_jsonl(result: RunResult, path: str) -> None:
+    if not isinstance(result, RunResult):
+        raise ParameterDomainError(f"expected a RunResult, got {result!r}")
     if result.trace is None:
         raise ParameterDomainError("run has no trace; rerun with trace=True")
     write_jsonl((ev.to_dict() for ev in result.trace), path)
 
 
-# one mark per stream position; every position is open until it resolves
-_OPEN, _RESOLVED = 0, 1
-_OPEN_BYTE, _RESOLVED_BYTE = bytes((_OPEN,)), bytes((_RESOLVED,))
+# one mark per stream position; every position is open until it is
+# captured or escapes
+_OPEN, _CAPTURED, _ESCAPED = 0, 1, 2
+_OPEN_BYTE, _ESCAPED_BYTE = bytes((_OPEN,)), bytes((_ESCAPED,))
 
 
 class _EventKernel:
     """Event bookkeeping shared by both regimes; a policy adds its planner.
 
-    The kernel reads the stream's `t_arr` column and `arrays`, and the
-    `ids` and `x` columns only for a kept trace or an error message; it
-    never writes to them.  It and the planners name a demand by its
-    position k in the stream, and a trace event names ids[k].  It admits
-    the arrivals and fires the escapes in time order while the policy moves
-    the vehicle along motion legs and commits captures.  It alone owns a
-    demand's state, which is two cursors into the stream plus one mark per
-    position (open or resolved), with the current leg, the counters and
-    the trace.  Arrivals increase strictly, and each demand escapes L/v
-    after it arrives, so escapes come in arrival order too: `arrived`
-    counts the demands admitted so far, and `_passed` counts those whose
-    escape instant has passed.  Each `advance` finds the window of
-    arrivals and the window of escapes it crosses by bisection over the
-    arrival instants and the escape instants `t_esc` = t_arr + L/v, which
-    are computed once per run from the stream's arrays (one stream may
-    serve several environments) and which GP and TF read too, and
-    counts and resolves the open marks of its escape window in a few
-    `bytearray` operations.  A position is outstanding once it has arrived
-    and until it resolves; `outstanding` lists them in arrival order.  On
-    the deadline every capture falls on an escape instant, so that list is
-    `range(_passed, arrived)`; TF captures before escape instants and
-    leaves resolved holes above `_passed`.  Traced and untraced runs change
-    the state alike; a kept trace only adds the events, merged in the
-    order below.
-
-    A leg is (t0, x_from, x_to, dur).  On the deadline (v >= 1) the vehicle
-    slides at unit speed, x = x_from +- (t - t0), and waits at x_to from
-    t0 + dur on.  In the strip (v < 1) it crosses a straight segment in
-    dur, x = x_from + frac * (x_to - x_from).  The two round differently,
-    so both stay.  Trace positions are computed only when a trace is kept.
+    The kernel reads the stream's `t_arr` column and `arrays`, and never
+    writes to them.  It and the planners name a demand by its position k in
+    the stream.  It admits the arrivals and fires the escapes in time order
+    while the policy commits captures, and alone owns a demand's state: two
+    cursors into the stream, one mark per position (open, captured or
+    escaped) and the counters.  Arrivals increase strictly and each demand
+    escapes L/v after it arrives, so escapes come in arrival order too:
+    `arrived` counts the demands admitted so far, and `_passed` those whose
+    escape instant has passed.  `advance` moves both by bisection over the
+    arrival instants and the escape instants `t_esc` = t_arr + L/v (made
+    once per run; GP and TF read them too), and marks escaped the open
+    positions it passes in a few `bytearray` operations.  A position is
+    outstanding once it has arrived and until it is captured or escapes;
+    on the deadline every capture falls on an escape instant, so
+    `outstanding` is `range(_passed, arrived)`, while TF leaves captured
+    holes above `_passed`.  With a trace, `log` keeps one entry per
+    `recompute`, (t, x, arrived), and one per `commit`, (ks, legs, replans,
+    cut), from which `_trace` builds the trace after the run; the state
+    changes alike with or without it.
 
     Ties: an escape fires before an arrival or a capture at the same
     instant; escapes at one instant fire in arrival order.  Committed
-    targets never escape: a commit marks them resolved before it moves, and
+    targets never escape: a commit marks them captured before it moves, and
     in the strip takes a target only while it is outstanding at the
     previous capture instant.  The policies order the rest:
     - deadline: capture, recompute, arrival, recompute.  LP and GP replan
       at a capture instant before they admit the arrival there, and again
       after it; NCLP never replans.  A plan made at t is committed at once:
       the commit's cursor move admits the arrivals at t, which come before
-      its first capture instant, and logs them first, so the order is the
-      same as if they were admitted before the commit.  GP plans its whole
-      greedy chain in one call: after each pick it moves its own copies of
-      the cursors to the capture instant as the commit's move would
-      (arrivals strictly before it, escapes through it) and picks again, so
-      each pick is the one a replan at that instant would make; its commit
-      logs a recompute after every capture but the last.
+      its first capture instant, as if they were admitted before the
+      commit.  GP's one-call chain picks as a replan at each capture
+      instant would (see `run_gp`), and its trace has a recompute after
+      every capture but the last.
     - strip: capture, arrival, recompute.  TF commits a whole sweep, then
       admits the arrivals at its end before it plans the next one.
     """
 
     def __init__(self, stream: DemandStream, start, trace: bool, strip: bool = False):
+        if not isinstance(stream, DemandStream):
+            raise ParameterDomainError(f"expected a DemandStream, got {stream!r}")
         if not isinstance(trace, bool):
             raise ParameterDomainError(f"trace must be True or False, got {trace!r}")
         env = stream.env
@@ -144,11 +135,9 @@ class _EventKernel:
         self.arrived = 0              # position arrived arrives next
         self._passed = 0              # positions below _passed are past their escape instant
         self._mark = bytearray(len(self._t_arr))
-        self.events: list[TraceEvent] | None = [] if trace else None
+        self.log: list[tuple] | None = [] if trace else None
         self.n_capt = 0
         self.n_esc = 0
-        x0 = self.start[0]
-        self.leg = (0.0, x0, x0, 0.0)
 
     @property
     def outstanding(self):
@@ -156,84 +145,42 @@ class _EventKernel:
         ks = range(self._passed, self.arrived)
         if self.strip:
             mark = self._mark
-            return [k for k in ks if mark[k] != _RESOLVED]
+            return [k for k in ks if mark[k] == _OPEN]
         return ks
-
-    def _x_at(self, t: float) -> float:
-        t0, x_from, x_to, dur = self.leg
-        if self.strip:
-            if dur <= 0.0:
-                return x_from
-            return x_from + min(max(t - t0, 0.0), dur) / dur * (x_to - x_from)
-        if t >= t0 + dur:
-            return x_to
-        return x_from + math.copysign(t - t0, x_to - x_from)
-
-    def _move(self, t_end: float, inclusive_arrivals: bool):
-        """Move both cursors to t_end and resolve the escapes they pass;
-        returns the escaped positions when a trace is kept."""
-        a0, p0 = self.arrived, self._passed
-        a1 = (bisect_right if inclusive_arrivals else bisect_left)(self._t_arr, t_end, a0)
-        p1 = bisect_right(self.t_esc, t_end, p0, a1)       # only admitted demands escape
-        self.arrived = a1
-        if p1 == p0:
-            return ()
-        self._passed = p1
-        mark = self._mark
-        n = mark.count(_OPEN, p0, p1)
-        if not n:
-            return ()
-        fired = () if self.events is None else [k for k in range(p0, p1) if mark[k] == _OPEN]
-        mark[p0:p1] = mark[p0:p1].replace(_OPEN_BYTE, _RESOLVED_BYTE)
-        self.n_esc += n
-        return fired
 
     def advance(self, t_end: float, inclusive_arrivals: bool) -> None:
         """Fire escapes through t_end and arrivals before it (through it if
-        inclusive_arrivals), in time order."""
-        a0 = self.arrived
-        fired = self._move(t_end, inclusive_arrivals)
-        if self.events is not None:
-            self._log(a0, self.arrived, fired)
+        inclusive_arrivals): move both cursors and mark escaped the open
+        positions they pass."""
+        p0 = self._passed
+        a1 = (bisect_right if inclusive_arrivals else bisect_left)(self._t_arr, t_end,
+                                                                    self.arrived)
+        p1 = bisect_right(self.t_esc, t_end, p0, a1)       # only admitted demands escape
+        self.arrived, self._passed = a1, p1
+        mark = self._mark
+        n = mark.count(_OPEN, p0, p1)
+        if n:
+            mark[p0:p1] = mark[p0:p1].replace(_OPEN_BYTE, _ESCAPED_BYTE)
+            self.n_esc += n
 
-    def _log(self, a0: int, a1: int, fired) -> None:
-        """Trace the arrivals of positions a0..a1-1 and the escapes of fired,
-        in time order: an escape before an arrival at one instant, but never
-        before its own demand's arrival."""
-        ids, t_arr, t_esc = self.stream.ids, self._t_arr, self.t_esc
-        events, x_at, a = self.events, self._x_at, a0
-        for k in fired:
-            t_e = t_esc[k]
-            while a < a1 and (t_arr[a] < t_e or a == k):
-                events.append(TraceEvent(t_arr[a], "arrival", ids[a], x_at(t_arr[a])))
-                a += 1
-            events.append(TraceEvent(t_e, "escape", ids[k], x_at(t_e)))
-        for a in range(a, a1):
-            events.append(TraceEvent(t_arr[a], "arrival", ids[a], x_at(t_arr[a])))
-
-    def commit(self, ks: list[int], t: float, x: float, legs=None, _replans: bool = False):
+    def commit(self, ks: list[int], t: float, x: float, legs=None, cut=None,
+               _replans: bool = False):
         """Capture the positions ks in order, from the vehicle at x at t, and
         return its (t, x) afterwards.  On the deadline each is captured on
-        its deadline: slide to its abscissa and wait.  In the strip, legs
-        holds each capture's (instant, duration) of its straight leg.  With
-        _replans (GP's greedy chain), a kept trace logs a recompute after
-        every capture but the last, where the policy replanned.
+        its deadline.  In the strip, legs holds each capture's (instant, leg
+        duration), and cut, for a sweep whose budget ran out mid-leg, is
+        (leg, t_stop, x_stop): the leg (t0, x_from, x_to, dur) from the last
+        capture and where it stops.  With _replans (GP's greedy chain), the
+        trace has a recompute after every capture but the last.
 
-        The capture instants are known, so the commit is one pass over ks,
-        which checks each position and marks it resolved, and one cursor
-        move to the last instant.  The move resolves only open marks, so no
-        position of ks escapes on the way, and it admits every arrival
-        before the last instant, those at t among them.  A kept trace logs
-        the move's window per capture: that capture's leg, the escapes at
-        or before its instant and the arrivals strictly before it, then the
-        capture, as a capture-by-capture walk would.  Each position must be
-        unresolved, once in ks, at instants that never decrease, and arrive
-        before its capture instant on the deadline, or in the strip be
-        outstanding at the previous capture instant (t for the first); it
-        may be captured past its escape instant.  Otherwise
+        One pass over ks checks each position and marks it captured, and
+        one cursor move to the last instant admits every arrival before it,
+        those at t among them; the move marks escaped only open positions.
+        Each position must be open, once in ks, at instants that never
+        decrease, and arrive before its capture instant on the deadline, or
+        in the strip be outstanding at the previous capture instant (t for
+        the first); it may be captured past its escape instant.  Otherwise
         ContractViolationError, and the pass reopens what it marked."""
-        if not ks:
-            return t, x
         t_arr, t_esc, mark = self._t_arr, self.t_esc, self._mark
         n, arrived, t_k = len(mark), self.arrived, t
         if legs is None:
@@ -241,7 +188,7 @@ class _EventKernel:
                 if not (0 <= k < n and mark[k] == _OPEN and t_k <= t_esc[k]
                         and (k < arrived or t_arr[k] < t_esc[k])):
                     self._refuse(ks[:i], k, t)
-                mark[k] = _RESOLVED
+                mark[k] = _CAPTURED
                 t_k = t_esc[k]
         else:
             if len(legs) != len(ks):
@@ -251,28 +198,15 @@ class _EventKernel:
                 if not (0 <= k < n and mark[k] == _OPEN and t_k < t_esc[k] and t_k <= t_c
                         and (k < arrived or t_arr[k] < t_k)):
                     self._refuse(ks[:i], k, t)
-                mark[k] = _RESOLVED
+                mark[k] = _CAPTURED
                 t_k = t_c
-        a, p = self.arrived, self._passed
-        fired = self._move(t_k, False)
+        if self.log is not None:
+            self.log.append((ks, legs, _replans, cut))
+        if not ks:
+            return t, x
+        self.advance(t_k, False)
         self.n_capt += len(ks)
-        if self.events is not None:
-            ids, xs, events, i, last = self.stream.ids, self.stream.x, self.events, 0, ks[-1]
-            for c, k in enumerate(ks):      # the cursors of a capture-by-capture walk
-                x_k = xs[k]
-                t_k, dur = (t_esc[k], abs(x_k - x)) if legs is None else legs[c]
-                self.leg = (t, x, x_k, dur)
-                a_k = bisect_left(t_arr, t_k, a)
-                p = bisect_right(t_esc, t_k, p, a_k)
-                j = bisect_left(fired, p, i)
-                self._log(a, a_k, fired[i:j])
-                events.append(TraceEvent(t_k, "capture", ids[k], x_k))
-                if _replans and k != last:
-                    events.append(TraceEvent(t_k, "recompute", None, x_k))
-                a, i, t, x = a_k, j, t_k, x_k
-        x = self._x_arr.item(ks[-1])
-        self.leg = (t_k, x, x, 0.0)
-        return t_k, x
+        return t_k, self._x_arr.item(ks[-1])
 
     def _refuse(self, marked: list[int], k: int, t: float):
         for j in marked:
@@ -282,8 +216,8 @@ class _EventKernel:
             f"capture, repeated, or captured out of time order")
 
     def recompute(self, t: float, x: float) -> None:
-        if self.events is not None:
-            self.events.append(TraceEvent(t, "recompute", None, x))
+        if self.log is not None:
+            self.log.append((t, x, self.arrived))
 
     def finish(self) -> RunResult:
         """Let every remaining demand arrive and escape; check conservation."""
@@ -292,7 +226,76 @@ class _EventKernel:
             raise ContractViolationError(
                 f"{self.n_capt} captures + {self.n_esc} escapes "
                 f"!= {len(self._t_arr)} demands")
-        return RunResult(self.n_capt, self.n_esc, trace=self.events)
+        return RunResult(self.n_capt, self.n_esc,
+                         trace=None if self.log is None else _trace(self))
+
+
+def _trace(sim: _EventKernel) -> list[TraceEvent]:
+    """The trace of a finished run, built from its log and its marks.
+
+    Each recompute, capture and cut end comes after the arrivals and
+    escapes the kernel had fired by then: the arrivals below a recompute's
+    logged `arrived`, strictly before a capture instant, or through a cut's
+    t_stop, and the escapes of admitted demands through that instant.  An
+    escape comes before an arrival at the same instant, but never before
+    its own demand's arrival.  The vehicle moves on the leg into each
+    capture or cut, from the last entry's (t, x), and waits at its end.  A
+    leg (t0, x_from, x_to, dur) slides at unit speed on the deadline,
+    x = x_from +- (t - t0) until t0 + dur, and crosses a straight segment
+    in the strip, x = x_from + frac * (x_to - x_from); the two round
+    differently, so both stay."""
+    ids, xs, t_arr, t_esc, strip = sim.stream.ids, sim.stream.x, sim._t_arr, sim.t_esc, sim.strip
+    n = len(t_arr)
+    escaped = [k for k, m in enumerate(sim._mark) if m == _ESCAPED] + [n]     # n stops fire
+    events: list[TraceEvent] = []
+    a = i = 0
+    t, x = 0.0, sim.start[0]
+    leg = (t, x, x, 0.0)
+
+    def x_at(t_e: float) -> float:
+        t0, x_from, x_to, dur = leg
+        if strip:
+            return x_from if dur <= 0.0 else \
+                x_from + min(max(t_e - t0, 0.0), dur) / dur * (x_to - x_from)
+        return x_to if t_e >= t0 + dur else x_from + math.copysign(t_e - t0, x_to - x_from)
+
+    def fire(a_end: int, t_end: float) -> None:
+        """Arrivals below a_end and escapes through t_end, in time order."""
+        nonlocal a, i
+        while escaped[i] < a_end and t_esc[escaped[i]] <= t_end:
+            k = escaped[i]
+            t_e = t_esc[k]
+            while a <= k or (a < a_end and t_arr[a] < t_e):
+                events.append(TraceEvent(t_arr[a], "arrival", ids[a], x_at(t_arr[a])))
+                a += 1
+            events.append(TraceEvent(t_e, "escape", ids[k], x_at(t_e)))
+            i += 1
+        events.extend(TraceEvent(t_arr[j], "arrival", ids[j], x_at(t_arr[j]))
+                      for j in range(a, a_end))
+        a = a_end
+
+    for entry in sim.log:
+        if len(entry) == 3:                 # a recompute
+            t, x, arrived = entry
+            fire(arrived, t)
+            events.append(TraceEvent(t, "recompute", None, x))
+            continue
+        ks, legs, replans, cut = entry
+        for c, k in enumerate(ks):
+            x_k = xs[k]
+            t_k, dur = (t_esc[k], abs(x_k - x)) if legs is None else legs[c]
+            leg = (t, x, x_k, dur)
+            fire(bisect_left(t_arr, t_k, a), t_k)
+            events.append(TraceEvent(t_k, "capture", ids[k], x_k))
+            if replans and c < len(ks) - 1:
+                events.append(TraceEvent(t_k, "recompute", None, x_k))
+            t, x = t_k, x_k
+        if cut is not None:
+            leg, t, x = cut
+            fire(bisect_right(t_arr, t, a), t)
+        leg = (t, x, x, 0.0)
+    fire(n, math.inf)
+    return events
 
 
 def _check_start(env, start, strip: bool) -> tuple:
@@ -318,8 +321,7 @@ def _run(sim: _EventKernel, planner, replans: bool = False) -> RunResult:
 
     planner(t, x) -> positions of outstanding demands to commit, in capture
     order; it commits only paths the vehicle can follow from (x, L) at t.
-    With replans, each capture but the last is also a replan (GP's chain),
-    which the commit logs.
+    With replans, each capture but the last is also a replan (GP's chain).
     A plan costs one planner call and one kernel call: a non-empty plan
     goes straight to `commit`, whose cursor move admits the arrivals at t
     before its first capture instant, which lies after t (the planners
@@ -346,13 +348,17 @@ def _run(sim: _EventKernel, planner, replans: bool = False) -> RunResult:
 
 def run_nclp(stream: DemandStream, start_x: float | None = None,
              trace: bool = False) -> RunResult:
-    """Non-causal longest path: one plan over the entire stream at t=0,
-    by the O(n log n) chain that longest_chain_fast runs on records, and
-    one commit, whose cursor move admits every arrival up to its last
-    capture instant."""
+    """Non-causal longest path: one plan at t=0 over every demand that
+    escapes after it arrives (with L/v below half an ulp of t_arr, one
+    escapes as it arrives), by the O(n log n) chain that longest_chain_fast
+    runs on records, and one commit, whose cursor move admits every arrival
+    up to its last capture instant."""
     sim = _EventKernel(stream, start_x, trace)
     x0 = sim.start[0]
-    plan = _chain(x0, 0.0, range(len(stream)), _chain_columns(*stream.arrays, sim.l_v))
+    cols = _chain_columns(*stream.arrays, sim.l_v)
+    ahead = cols[2] > stream.arrays[0]
+    ks = range(len(stream)) if ahead.all() else ahead.nonzero()[0].tolist()
+    plan = _chain(x0, 0.0, ks, cols)
     sim.recompute(0.0, x0)
     sim.commit(plan, 0.0, x0)
     return sim.finish()

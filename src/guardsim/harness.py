@@ -112,8 +112,14 @@ def _run_policy(spec: ExperimentSpec, stream, trace: bool = False):
     return run_tf(stream, trace=trace)
 
 
+def _require_spec(spec) -> None:
+    if not isinstance(spec, ExperimentSpec):
+        raise ParameterDomainError(f"expected an ExperimentSpec, got {spec!r}")
+
+
 def monte_carlo(spec: ExperimentSpec) -> Summary:
     """Replicated runs at spec.env.lam; deterministic in spec."""
+    _require_spec(spec)
     env = spec.env
     fractions = []
     vacuous = 0
@@ -141,6 +147,7 @@ def monte_carlo(spec: ExperimentSpec) -> Summary:
 
 def sweep(spec: ExperimentSpec) -> list[Summary]:
     """One Summary per lambda on the experiment's grid (or its single lambda)."""
+    _require_spec(spec)
     rows = []
     for lam in spec.lambdas():
         env = make_env(W=spec.env.W, L=spec.env.L, v=spec.env.v, lam=lam)
@@ -176,6 +183,8 @@ def write_sweep_csv(rows: list[Summary], path: str) -> None:
 def sweep_svg(rows: list[Summary], title: str = "") -> str:
     """Minimal plot: mean capture fraction vs lambda with +-std error bars
     and dashed curves for the applicable analytical bounds."""
+    if not rows:
+        raise ParameterDomainError("sweep_svg needs at least one row")
     W_px, H_px, m = 640, 420, 56
     lams = [r.lam for r in rows]
     lo, hi = min(lams), max(lams)

@@ -662,7 +662,6 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
     while True:
         ready = [k for k in sim.outstanding if v * (t - t_arr[k]) <= L / 2.0]
         if not ready:
-            sim.leg = (t, pos[0], pos[0], 0.0)
             if sim.arrived == len(t_arr):
                 return sim.finish()     # anything left can only escape
             t = t_arr[sim.arrived]
@@ -677,8 +676,7 @@ def run_tf(stream: DemandStream, start=None, trace: bool = False) -> RunResult:
         sim.recompute(t, pos[0])
         ks, legs, end, t_end, cut = _sweep(pos, t, [others[j] for j in order] + [finish],
                                            t_arr, xs, t_esc, v, t + L / (2.0 * v))
-        sim.commit(ks, t, pos[0], legs)
-        sim.leg = cut or (t_end, end[0], end[0], 0.0)
+        sim.commit(ks, t, pos[0], legs, cut and (cut, t_end, end[0]))
         sim.advance(t_end, True)
         pos, t = end, t_end
 

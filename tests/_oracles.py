@@ -637,7 +637,7 @@ class ReferenceKernel:
     """The event kernel as the `_EventKernel` docstring defines it, naively.
 
     It has the interface the policies use (`env`, `start`, `stream`, `l_v`,
-    `t_esc`, `arrived`, `outstanding`, `leg`, `advance`, `commit`,
+    `t_esc`, `arrived`, `outstanding`, `advance`, `commit`,
     `recompute`, `finish`), names a demand by its position in the stream,
     keeps one state per position and finds each next event in `advance` by
     scanning every position, O(n) per event.  An event is the earliest of:
@@ -651,7 +651,9 @@ class ReferenceKernel:
     last.  In the strip it takes each capture's (instant, duration) from
     `legs`: it requires the target to be outstanding where the last leg
     ended and the instant not to go back, protects that target alone,
-    crosses the leg and captures it.
+    crosses the leg and captures it.  With a `cut` (leg, t_stop, x_stop) it
+    then crosses that leg through t_stop, arrivals at t_stop included, and
+    waits at x_stop.
     """
 
     def __init__(self, stream, start, trace, strip=False):
@@ -724,7 +726,7 @@ class ReferenceKernel:
         if self.events is not None:
             self.events.append(TraceEvent(t, "capture", self.stream.ids[k], self.stream.x[k]))
 
-    def commit(self, ks, t, x, legs=None, _replans=False):
+    def commit(self, ks, t, x, legs=None, cut=None, _replans=False):
         if legs is None:
             self.protected.update(ks)       # NCLP commits demands yet to arrive
         for n, k in enumerate(ks, 1):
@@ -743,7 +745,12 @@ class ReferenceKernel:
             if _replans and n < len(ks):    # GP's chain replans at each capture
                 self.recompute(t_cap, x_k)
             t, x = t_cap, x_k
-        self.leg = (t, x, x, 0.0)
+        if cut is not None:
+            self.leg, t_stop, x_stop = cut
+            self.advance(t_stop, True)
+            self.leg = (t_stop, x_stop, x_stop, 0.0)
+        else:
+            self.leg = (t, x, x, 0.0)
         return t, x
 
     def recompute(self, t, x):
@@ -824,7 +831,6 @@ def tf_reference(stream, start=None, trace=False):
     while True:
         ready = [k for k in sim.outstanding if v * (t - t_arr[k]) <= L / 2]
         if not ready:
-            sim.leg = (t, pos[0], pos[0], 0.0)
             if sim.arrived == len(stream):
                 return sim.finish()
             t = t_arr[sim.arrived]
@@ -837,7 +843,6 @@ def tf_reference(stream, start=None, trace=False):
         sim.recompute(t, pos[0])
         ks, legs, end, t_end, cut = tf_sweep(pos, t, [others[j] for j in order] + [finish],
                                              stream, t + L / (2 * v))
-        sim.commit(ks, t, pos[0], legs)
-        sim.leg = cut or (t_end, end[0], end[0], 0.0)
+        sim.commit(ks, t, pos[0], legs, cut and (cut, t_end, end[0]))
         sim.advance(t_end, True)
         pos, t = end, t_end

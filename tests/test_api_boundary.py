@@ -2,22 +2,26 @@
 library, one argument at a time: `DemandStream(env, seed, demands)`,
 `longest_chain_fast`, `build_reach_graph`, `g_map`, `g_inv`,
 `intercept_time`, `emhp_exact`, `emhp_heuristic`, `TmhpInstance` ->
-`tmhp_solve`, the start of each policy run and LP's eta, and each field of an
-`ExperimentSpec` run through `sweep` return normally or raise a
-`guardsim.errors` exception, never a bare TypeError, AttributeError or the
-like."""
+`tmhp_solve`, the stream and the start of each policy run and LP's eta,
+`write_trace_jsonl`'s result, and each field of an `ExperimentSpec` run
+through `sweep` return normally or raise a `guardsim.errors` exception,
+never a bare TypeError, AttributeError or the like.  `monte_carlo` and
+`sweep` refuse anything but an `ExperimentSpec` with a
+ParameterDomainError."""
 import dataclasses
 import math
+import os
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardsim import (ContractViolationError, Demand, DemandStream, ExperimentSpec,
                       ParameterDomainError, RegimeError, SizeLimitError, TmhpInstance,
                       VehicleState, build_reach_graph, emhp_exact, emhp_heuristic, g_inv,
-                      g_map, intercept_time, longest_chain_fast, make_env, run_gp, run_lp,
-                      run_nclp, run_tf, sweep, tmhp_solve)
+                      g_map, intercept_time, longest_chain_fast, make_env, monte_carlo,
+                      run_gp, run_lp, run_nclp, run_tf, sweep, tmhp_solve, write_trace_jsonl)
 
 GUARDSIM_ERRORS = (ContractViolationError, ParameterDomainError, RegimeError, SizeLimitError)
 
@@ -162,6 +166,11 @@ def test_tmhp_solve_with_a_malformed_argument(data, value, where):
 DEADLINE_STREAM = DemandStream(ENV, 0, RECORDS)
 STRIP_STREAM = DemandStream(make_env(W=10.0, L=20.0, v=0.5, lam=1.0), 0, RECORDS)
 RUNS = {
+    "run_nclp stream": run_nclp,
+    "run_lp stream": run_lp,
+    "run_gp stream": run_gp,
+    "run_tf stream": run_tf,
+    "write_trace_jsonl result": lambda value: write_trace_jsonl(value, os.devnull),
     "run_nclp start_x": lambda value: run_nclp(DEADLINE_STREAM, start_x=value),
     "run_lp start_x": lambda value: run_lp(DEADLINE_STREAM, start_x=value),
     "run_gp start_x": lambda value: run_gp(DEADLINE_STREAM, start_x=value),
@@ -184,3 +193,10 @@ def test_policy_run_with_a_malformed_argument(data, value, where):
 @given(data=st.data(), value=MALFORMED, spec=st.sampled_from(SPECS))
 def test_sweep_with_a_malformed_spec_field(data, value, spec):
     _returns_or_raises_a_guardsim_error(lambda: sweep(_replace_field(spec, data, value)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=MALFORMED, fn=st.sampled_from([monte_carlo, sweep]))
+def test_harness_refuses_what_is_not_a_spec(value, fn):
+    with pytest.raises(ParameterDomainError, match="ExperimentSpec"):
+        fn(value)

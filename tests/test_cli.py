@@ -64,6 +64,16 @@ def test_simulate_where_the_load_underflows(capsys):
     assert out["bounds"] == {"causal_upper_bound": 1.0, "tf_lower_bound": 1.0}
 
 
+@pytest.mark.parametrize("policy", ["nclp", "lp", "gp"])
+def test_simulate_where_demands_escape_as_they_arrive(policy, capsys):
+    # L/v = 0.5 is below half an ulp of the arrival times, about 1e17, so
+    # every demand escapes at its arrival instant and none can be captured
+    rc = main(["simulate", "--policy", policy, "--W", "10", "--L", "1", "--v", "2",
+               "--lam", "1e-17", "--n-demands", "5", "--runs", "1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["mean"] == 0.0
+
+
 def test_gen_stream_file_and_stdout(tmp_path, capsys):
     path = str(tmp_path / "s.jsonl")
     rc = main(["gen-stream", "--W", "10", "--L", "20", "--v", "2", "--lam", "1",

@@ -158,6 +158,35 @@ def test_deadline_escape_at_capture_instant(runner, replans):
     assert _trace(runner(s, start_x=2.0, trace=True)) == expected
 
 
+# L/v = 2**-60 is below half an ulp of the arrival times 1 and 2, so each
+# demand escapes at its own arrival instant
+SAME_INSTANT_ENV = make_env(W=10.0, L=2.0 ** -60, v=1.0, lam=1.0)
+
+
+@pytest.mark.parametrize("runner, replans", [(run_nclp, False), (run_lp, True),
+                                             (run_gp, True)])
+def test_deadline_escape_at_its_own_arrival_instant(runner, replans):
+    # both demands lie within reach of the start, but no plan can capture a
+    # demand that escapes as it arrives, NCLP's one plan at t = 0 included;
+    # each arrival comes before its own escape
+    s = DemandStream(SAME_INSTANT_ENV, 0, [Demand(0, 1.0, 5.0), Demand(1, 2.0, 5.5)])
+    assert [d.escape_time(SAME_INSTANT_ENV) for d in s] == [1.0, 2.0]
+    expected = [
+        ("recompute", None, 0.0, 5.0),
+        ("arrival", 0, 1.0, 5.0),
+        ("escape", 0, 1.0, 5.0),
+        ("recompute", None, 1.0, 5.0),
+        ("arrival", 1, 2.0, 5.0),
+        ("escape", 1, 2.0, 5.0),
+        ("recompute", None, 2.0, 5.0),
+    ]
+    if not replans:
+        expected = [e for e in expected if e[0] != "recompute" or e[2] == 0.0]
+    for res in _on_both_kernels(lambda: runner(s, trace=True)):
+        assert (res.n_capt, res.n_esc) == (0, 2)
+        assert _trace(res) == expected
+
+
 @pytest.mark.parametrize("runner", [run_lp, run_gp])
 def test_deadline_escapes_at_one_instant_fire_in_arrival_order(runner):
     # three demands reach the deadline at T_TIE, ids descending in arrival
@@ -300,11 +329,12 @@ def test_escape_ties_fire_in_arrival_order(policy, data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_untraced_runs_count_as_traced_runs(policy, data):
-    # an untraced deadline commit is one cursor move, a traced one also logs
-    # each capture's part of it; the benchmark runs untraced, the other
-    # tests traced, so the two must resolve every demand alike.  Half or
-    # more of the 41 lattice instants see an arrival, so arrivals often fall
-    # on capture instants, where the two could part
+    # a traced run also logs each kernel call and builds its trace from
+    # that log after the run, while an untraced one keeps no log; the
+    # benchmark runs untraced, the other tests traced, so the two must
+    # resolve every demand alike.  Half or more of the 41 lattice instants
+    # see an arrival, so arrivals often fall on capture instants, where a
+    # log-dependent kernel could part the two
     if policy != "tf" and data.draw(st.booleans()):
         stream, x0 = _escape_tie_stream(data), 0.5 * data.draw(st.integers(0, 20))
     else:
@@ -498,8 +528,8 @@ def test_kernel_rejects_a_capture_of_a_demand_not_outstanding():
 
 
 def _kernel_state(sim):
-    return (sim.arrived, sim._passed, bytes(sim._mark), sim.n_capt, sim.n_esc, sim.leg,
-            repr(sim.events))
+    return (sim.arrived, sim._passed, bytes(sim._mark), sim.n_capt, sim.n_esc,
+            repr(sim.log))
 
 
 def _check_commit_contract(trace):

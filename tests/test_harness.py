@@ -181,6 +181,12 @@ def test_sweep_svg_structure(tmp_path):
     assert out.read_text() == svg
 
 
+def test_sweep_svg_refuses_an_empty_row_list():
+    # the axis spans the rows' lambdas, so a plot needs at least one row
+    with pytest.raises(ParameterDomainError, match="row"):
+        sweep_svg([])
+
+
 def test_tf_sweep_smoke():
     # beyond-the-knee grid; means must not increase with lambda
     spec = ExperimentSpec(policy="tf", env=SLOW, n_demands=120, runs=2,
