@@ -69,22 +69,18 @@ class VehicleState:
 
 class DemandStream:
     """A seeded batch of demands over a fixed environment, with unique count
-    ids and finite arrival times t_arr >= 0 that strictly increase; a time
-    or an abscissa of -0.0 is kept as 0.0.
+    ids, finite arrival times t_arr >= 0 that strictly increase, and
+    abscissae in [0, W]; a time or an abscissa of -0.0 is kept as 0.0.
 
-    The stream is three columns in arrival order, `ids`, `t_arr` and `x`
-    (Python lists; times and abscissae are floats), and runs read only
-    these: the event kernel and the planners name a demand by its position
-    k, and its id is ids[k].  `arrays` holds the same columns as read-only
-    numpy arrays (t_arr, x, ids), which the kernel and the chain planner
-    read whole.  `demands`, iteration and indexing give `Demand` records;
-    no policy run asks for them.  `DemandStream(env, seed, demands)` checks
-    every record and fills the three columns.  `generate_stream` fills
-    `t_arr`, which every run bisects, and `arrays`, from the arrays it
-    drew; `ids` and `x` are then built from `arrays` on their first read,
-    which untraced NCLP and LP runs never make.  `arrays` and `demands`
-    are built from the columns on first use when not filled.  All are
-    kept once built; `len` reads `t_arr` and builds nothing.
+    Runs read only the three columns `ids`, `t_arr` and `x`, lists in
+    arrival order (a demand is named by its position k, its id is ids[k]),
+    and `arrays`, the same as read-only numpy arrays (t_arr, x, ids).
+    Every constructor fills `arrays` and `t_arr` through one check: records
+    and stream files through `_columns`, the one reader of demand records,
+    and `generate_stream` through its arrival-time part.  `ids` and `x`
+    are built from `arrays` on first read, which untraced NCLP and LP runs
+    never make, and the `Demand` records of `demands`, iteration and
+    indexing on first use; all are kept once built.
 
     Treated as immutable once built: nothing writes to the columns, the
     arrays refuse writes, and a change to a record in `demands` does not
@@ -96,72 +92,29 @@ class DemandStream:
             raise ContractViolationError(f"env must be an EnvParams, got {env!r}")
         if not is_count(seed):
             raise ContractViolationError(f"seed must be a non-negative int, got {seed!r}")
-        if not isinstance(demands, list):
-            if isinstance(demands, (str, bytes)) or not hasattr(demands, "__iter__"):
-                raise ContractViolationError(
-                    f"demands must be an iterable of Demand records, got {demands!r}")
-            demands = list(demands)      # an iterable is read once, here
-        self.env, self.seed = env, seed
-        ids: list[int] = []
-        self.t_arr: list[float] = []
-        xs: list[float] = []
-        self._ids: list[int] | None = ids
-        self._x: list[float] | None = xs
-        self._demands: list[Demand] | None = None
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        prev, W, maxsize = -math.inf, env.W, sys.maxsize   # locals: read per demand
-        try:
-            for d in demands:
-                if not isinstance(d, Demand):
-                    raise ContractViolationError(f"demand record {d!r} is not a Demand")
-                i, t, x = d.id, d.t_arr, d.x      # is_count, with a fast path for an exact int
-                if not (i.__class__ is int and 0 <= i <= maxsize or is_count(i)):
-                    raise ContractViolationError(
-                        f"demand id {i!r} must be an int in [0, sys.maxsize]")
-                if not prev < t <= _FLOAT_MAX:
-                    if not abs(t) <= _FLOAT_MAX:
-                        raise ContractViolationError(
-                            f"demand {i}: arrival time {t} is not finite")
-                    raise ContractViolationError(
-                        f"demand {i}: arrival times must be strictly increasing"
-                    )
-                prev = t
-                # generated abscissae live in [0, W); hand-built boundary x = W is tolerated
-                if not (0.0 <= x <= W):
-                    raise ContractViolationError(
-                        f"demand {i}: abscissa {x} outside [0, {W}]"
-                    )
-                if not (t.__class__ is float and x.__class__ is float
-                        or is_number(t) and is_number(x)):
-                    raise TypeError     # a bool, or another type that compares like a number
-                ids.append(i)
-                self.t_arr.append(float(t) + 0.0)     # + 0.0 turns -0.0 into 0.0
-                xs.append(float(x) + 0.0)
-        except TypeError:
-            raise ContractViolationError(f"demand {d.id}: arrival time {d.t_arr!r} "
-                                         f"and abscissa {d.x!r} must be numbers") from None
-        # the deadline policies start their clock at t = 0; arrivals
-        # increase, so the first is the earliest
-        if self.t_arr and self.t_arr[0] < 0.0:
-            raise ContractViolationError(
-                f"demand {ids[0]}: arrival time {demands[0].t_arr} is negative")
-        if len(set(ids)) != len(ids):
-            raise ContractViolationError("demand ids must be unique")
+        self._keep(env, seed, *_read_demands(demands, env.W))
+
+    def _keep(self, env, seed, t_arr: np.ndarray, x: np.ndarray, ids: np.ndarray):
+        """Hold env, seed, checked columns as read-only arrays, and t_arr;
+        return the stream."""
+        for a in (t_arr, x, ids):
+            a.flags.writeable = False
+        self.env, self.seed, self.arrays, self.t_arr = env, seed, (t_arr, x, ids), t_arr.tolist()
+        self._ids = self._x = self._demands = None
+        return self
 
     @property
     def ids(self) -> list[int]:
-        """The ids column, built once, on first read, when generate_stream
-        kept only its arrays."""
+        """The ids column, built from `arrays` once, on first read."""
         if self._ids is None:
-            self._ids = self._arrays[2].tolist()
+            self._ids = self.arrays[2].tolist()
         return self._ids
 
     @property
     def x(self) -> list[float]:
-        """The abscissa column, built once, on first read, when
-        generate_stream kept only its arrays."""
+        """The abscissa column, built from `arrays` once, on first read."""
         if self._x is None:
-            self._x = self._arrays[1].tolist()
+            self._x = self.arrays[1].tolist()
         return self._x
 
     @property
@@ -170,17 +123,6 @@ class DemandStream:
         if self._demands is None:
             self._demands = list(map(Demand, self.ids, self.t_arr, self.x))
         return self._demands
-
-    @property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The columns (t_arr, x, ids) as read-only float64, float64 and
-        int64 arrays, built once, on first use, unless generate_stream kept
-        its own."""
-        if self._arrays is None:
-            self._arrays = _read_only(np.array(self.t_arr, dtype=float),
-                                      np.array(self.x, dtype=float),
-                                      np.array(self.ids, dtype=np.int64))
-        return self._arrays
 
     def __len__(self) -> int:
         return len(self.t_arr)
@@ -192,14 +134,88 @@ class DemandStream:
         return self.demands[i]
 
 
+def _read_demands(demands, W: float | None = None) -> tuple:
+    """_columns of an iterable of Demand records."""
+    if isinstance(demands, (str, bytes)) or not hasattr(demands, "__iter__"):
+        raise ContractViolationError(
+            f"demands must be an iterable of Demand records, got {demands!r}")
+    demands = list(demands)      # an iterable is read once, here
+    bad = [d for d in demands if not isinstance(d, Demand)]
+    if bad:
+        raise ContractViolationError(f"demand record {bad[0]!r} is not a Demand")
+    return _columns([d.id for d in demands], [d.t_arr for d in demands],
+                    [d.x for d in demands], W)
+
+
+def _columns(ids: list, t_arr: list, x: list, W: float | None = None) -> tuple:
+    """The one reader of demand records: each demand's id, t_arr and x, as
+    given, as the arrays (t_arr, x, ids) of float64, float64 and int64.
+
+    Ids must be unique counts, times and abscissae ints or floats, not
+    bools; -0.0 is read as 0.0.  With W, arrival times must be finite and
+    strictly increase from t >= 0, abscissae lie in [0, W]; without, any
+    time order and any finite abscissa.  Else ContractViolationError names
+    the first bad demand, its value as given."""
+    if not (set(map(type, ids)) <= {int} and 0 <= min(ids, default=0)
+            and max(ids, default=0) <= sys.maxsize
+            and set(map(type, t_arr)).union(map(type, x)) <= {float, int}):
+        for i, t, xk in zip(ids, t_arr, x):
+            if not is_count(i):
+                raise ContractViolationError(f"demand id {i!r} must be an int in [0, sys.maxsize]")
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (t, xk)):
+                raise ContractViolationError(
+                    f"demand {i}: arrival time {t!r} and abscissa {xk!r} must be numbers")
+    id_col, t_col, x_col = np.array(ids, dtype=np.int64), _floats(t_arr), _floats(x)
+    if len(ids) > 1 and not (id_col[1:] > id_col[:-1]).all() \
+            and len(np.unique(id_col)) < len(ids):
+        raise ContractViolationError("demand ids must be unique")
+    if W is None:
+        bad = ~(np.isfinite(t_col) & np.isfinite(x_col))
+        what = "arrival time {t} and abscissa {x} must be finite"
+    else:
+        _check_arrivals(t_col, ids, t_arr)
+        # generated abscissae live in [0, W); hand-built boundary x = W is tolerated
+        bad, what = ~((0.0 <= x_col) & (x_col <= W)), f"abscissa {{x}} outside [0, {W}]"
+    if bad.any():
+        k = bad.argmax()
+        raise ContractViolationError(f"demand {ids[k]}: " + what.format(t=t_arr[k], x=x[k]))
+    return t_col, x_col, id_col
+
+
+def _floats(values: list) -> np.ndarray:
+    """Ints and floats as float64, -0.0 as 0.0, an int beyond float range as +-inf."""
+    try:
+        col = np.array(values, dtype=float)
+    except OverflowError:
+        col = np.array([math.inf if v > _FLOAT_MAX else -math.inf if v < -_FLOAT_MAX else v
+                        for v in values], dtype=float)
+    col += 0.0
+    return col
+
+
+def _check_arrivals(t_arr: np.ndarray, ids, shown) -> None:
+    """Refuse times not finite or not strictly increasing, then a first one
+    below 0, where the deadline policies start, naming ids[k] and shown[k]."""
+    ok = np.isfinite(t_arr)
+    ok[1:] &= t_arr[1:] > t_arr[:-1]
+    if not ok.all():
+        k = ok.argmin()
+        if not math.isfinite(t_arr[k]):
+            raise ContractViolationError(f"demand {ids[k]}: arrival time {shown[k]} is not finite")
+        raise ContractViolationError(f"demand {ids[k]}: arrival times must be strictly increasing")
+    if len(t_arr) and t_arr[0] < 0.0:
+        raise ContractViolationError(f"demand {ids[0]}: arrival time {shown[0]} is negative")
+
+
 def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
     """Draw a stream of n_demands arrivals, deterministic per (env, n, seed).
 
     Interarrival gaps are Exponential(lam) via the inverse transform
     -ln(U)/lam, abscissae Uniform[0, W).  Draw order is fixed (all gaps,
     then all abscissae) so streams are bit-reproducible for a given seed.
-    The stream keeps the drawn arrays as its `arrays` and fills only the
-    `t_arr` column; `ids` and `x` are built from the arrays on first read.
+    The stream keeps the drawn arrays as its `arrays`; ids 0..n-1 and
+    abscissae in [0, W) hold by construction, so only the arrival times
+    are checked.
     """
     if not is_count(n_demands):
         raise ParameterDomainError(f"n_demands must be a non-negative int, got {n_demands!r}")
@@ -208,29 +224,16 @@ def generate_stream(env: EnvParams, n_demands: int, seed: int) -> DemandStream:
             f"n_demands must be at most sys.maxsize // 8 = {sys.maxsize // 8}, got {n_demands!r}")
     if not is_count(seed):
         raise ParameterDomainError(f"seed must be a non-negative int, got {seed!r}")
-    stream = DemandStream(env, seed)     # checks env
+    if not isinstance(env, EnvParams):
+        raise ContractViolationError(f"env must be an EnvParams, got {env!r}")
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(n_demands)          # in (0, 1], keeps -ln(U) finite
     gaps = -np.log(u) / env.lam
     t_arr = np.cumsum(gaps)
     xs = env.W * rng.random(n_demands)       # in [0, W)
-    # ids 0..n-1 and abscissae in [0, W) hold by construction; the arrivals
-    # are checked as one array, and only a bad one goes through the
-    # per-demand check, which raises naming the first bad demand
-    if n_demands and not (t_arr[0] >= 0.0 and np.isfinite(t_arr).all()
-                          and (t_arr[1:] > t_arr[:-1]).all()):
-        return DemandStream(env, seed, list(map(Demand, range(n_demands), t_arr.tolist(),
-                                                xs.tolist())))
-    stream.t_arr, stream._ids, stream._x = t_arr.tolist(), None, None
-    stream._arrays = _read_only(t_arr, xs, np.arange(n_demands, dtype=np.int64))
-    return stream
-
-
-def _read_only(*arrays: np.ndarray) -> tuple:
-    """arrays, each made to refuse writes."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    _check_arrivals(t_arr, range(n_demands), t_arr)
+    return DemandStream.__new__(DemandStream)._keep(env, seed, t_arr, xs,
+                                                    np.arange(n_demands, dtype=np.int64))
 
 
 # --- JSON files -----------------------------------------------------------
@@ -250,6 +253,8 @@ def write_jsonl(records, out) -> None:
 
 def write_stream_jsonl(stream: DemandStream, out) -> None:
     """Write stream to out, a file path or an open text file."""
+    if not isinstance(stream, DemandStream):
+        raise ParameterDomainError(f"expected a DemandStream, got {stream!r}")
     header = {"env": asdict(stream.env), "seed": stream.seed, "n": len(stream)}
     write_jsonl(chain([header], ({"id": i, "t_arr": t, "x": x}
                                  for i, t, x in zip(stream.ids, stream.t_arr, stream.x))),
@@ -281,22 +286,25 @@ def _stream_header(r):
     return env, seed, n
 
 
-def _stream_record(r) -> Demand:
+def _stream_record(r) -> tuple[int, float, float]:
     if not (is_count(r["id"]) and is_number(r["t_arr"]) and is_number(r["x"])):
         raise ValueError(f"id must be a count, t_arr and x numbers, got {r!r}")
-    return Demand(r["id"], float(r["t_arr"]), float(r["x"]))
+    return r["id"], float(r["t_arr"]), float(r["x"])
 
 
 def read_stream_jsonl(path: str) -> DemandStream:
     """Read a stream file; a header without n is taken at its records' count."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ParameterDomainError(f"path must be a file path, got {path!r}")
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1)
                  if ln.strip()]
     if not lines:
         raise ContractViolationError(f"{path}: empty stream file")
     env, seed, n = read_json(path, _stream_header, lines[0])
-    demands = [read_json(path, _stream_record, line) for line in lines[1:]]
-    if n is not None and n != len(demands):
+    records = [read_json(path, _stream_record, line) for line in lines[1:]]
+    if n is not None and n != len(records):
         raise ContractViolationError(
-            f"{path}: the header gives n = {n}, but {len(demands)} records follow")
-    return DemandStream(env=env, seed=seed, demands=demands)
+            f"{path}: the header gives n = {n}, but {len(records)} records follow")
+    columns = [list(c) for c in zip(*records)] or [[], [], []]
+    return DemandStream.__new__(DemandStream)._keep(env, seed, *_columns(*columns, env.W))

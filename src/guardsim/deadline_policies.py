@@ -94,7 +94,7 @@ class _EventKernel:
     `outstanding` is `range(_passed, arrived)`, while TF leaves captured
     holes above `_passed`.  With a trace, `log` keeps one entry per
     `recompute`, (t, x, arrived), and one per `commit`, (ks, legs, replans,
-    cut), from which `_trace` builds the trace after the run; the state
+    cut, t, x), from which `_trace` builds the trace after the run; the state
     changes alike with or without it.
 
     Ties: an escape fires before an arrival or a capture at the same
@@ -201,7 +201,7 @@ class _EventKernel:
                 mark[k] = _CAPTURED
                 t_k = t_c
         if self.log is not None:
-            self.log.append((ks, legs, _replans, cut))
+            self.log.append((ks, legs, _replans, cut, t, x))
         if not ks:
             return t, x
         self.advance(t_k, False)
@@ -239,9 +239,10 @@ def _trace(sim: _EventKernel) -> list[TraceEvent]:
     t_stop, and the escapes of admitted demands through that instant.  An
     escape comes before an arrival at the same instant, but never before
     its own demand's arrival.  The vehicle moves on the leg into each
-    capture or cut, from the last entry's (t, x), and waits at its end.  A
-    leg (t0, x_from, x_to, dur) slides at unit speed on the deadline,
-    x = x_from +- (t - t0) until t0 + dur, and crosses a straight segment
+    capture or cut, the first of a commit from the commit's own (t, x), and
+    waits at its end.  A leg (t0, x_from, x_to, dur) slides at unit speed
+    on the deadline, x = x_from +- (t - t0) until t0 + dur (before t0 too,
+    for a commit that fires earlier events), and crosses a straight segment
     in the strip, x = x_from + frac * (x_to - x_from); the two round
     differently, so both stay."""
     ids, xs, t_arr, t_esc, strip = sim.stream.ids, sim.stream.x, sim._t_arr, sim.t_esc, sim.strip
@@ -257,7 +258,7 @@ def _trace(sim: _EventKernel) -> list[TraceEvent]:
         if strip:
             return x_from if dur <= 0.0 else \
                 x_from + min(max(t_e - t0, 0.0), dur) / dur * (x_to - x_from)
-        return x_to if t_e >= t0 + dur else x_from + math.copysign(t_e - t0, x_to - x_from)
+        return x_to if t_e >= t0 + dur else x_from + (t_e - t0 if x_to >= x_from else t0 - t_e)
 
     def fire(a_end: int, t_end: float) -> None:
         """Arrivals below a_end and escapes through t_end, in time order."""
@@ -280,7 +281,7 @@ def _trace(sim: _EventKernel) -> list[TraceEvent]:
             fire(arrived, t)
             events.append(TraceEvent(t, "recompute", None, x))
             continue
-        ks, legs, replans, cut = entry
+        ks, legs, replans, cut, t, x = entry
         for c, k in enumerate(ks):
             x_k = xs[k]
             t_k, dur = (t_esc[k], abs(x_k - x)) if legs is None else legs[c]

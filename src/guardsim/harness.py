@@ -162,10 +162,18 @@ CSV_COLUMNS = ("lambda", "mean", "std", "stderr", "lp_lower_bound",
                "lp_competitive_factor", "causal_upper_bound", "tf_lower_bound")
 
 
+def _require_rows(rows) -> list[Summary]:
+    """rows as a list; ParameterDomainError unless an iterable of Summary."""
+    rows = None if isinstance(rows, (str, bytes)) or not hasattr(rows, "__iter__") else list(rows)
+    if rows is None or not all(isinstance(r, Summary) for r in rows):
+        raise ParameterDomainError("rows must be an iterable of Summary records")
+    return rows
+
+
 def sweep_csv(rows: list[Summary]) -> str:
     """Fixed-schema CSV; bound columns are blank where not applicable."""
     lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
+    for r in _require_rows(rows):
         cells = [str(float(r.lam)), str(float(r.mean)), str(float(r.std)),
                  str(float(r.stderr))]
         for name in CSV_COLUMNS[4:]:
@@ -183,6 +191,7 @@ def write_sweep_csv(rows: list[Summary], path: str) -> None:
 def sweep_svg(rows: list[Summary], title: str = "") -> str:
     """Minimal plot: mean capture fraction vs lambda with +-std error bars
     and dashed curves for the applicable analytical bounds."""
+    rows = _require_rows(rows)
     if not rows:
         raise ParameterDomainError("sweep_svg needs at least one row")
     W_px, H_px, m = 640, 420, 56

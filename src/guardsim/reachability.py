@@ -14,9 +14,9 @@ from itertools import compress
 
 import numpy as np
 
-from .core import Demand, VehicleState
-from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_count, \
-    is_number, require_positive
+from .core import VehicleState, _read_demands
+from .errors import ContractViolationError, ParameterDomainError, RegimeError, is_number, \
+    require_positive
 
 
 @dataclass
@@ -52,29 +52,7 @@ def _check_regime_and_state(vehicle: VehicleState, v: float, L: float) -> None:
     if not is_number(vehicle.t):
         raise ParameterDomainError(f"vehicle time must be finite, got t={vehicle.t!r}")
     if vehicle.y != L:
-        raise ContractViolationError(
-            f"vehicle must sit on the deadline y={L}, got y={vehicle.y}"
-        )
-
-
-def _columns(demands) -> tuple[list[int], list[float], list[float]]:
-    """(ids, t_arr, x) of demands, an iterable of Demand records read once;
-    raises ContractViolationError for anything else, or repeated ids."""
-    if isinstance(demands, (str, bytes)) or not hasattr(demands, "__iter__"):
-        raise ContractViolationError(
-            f"demands must be an iterable of Demand records, got {demands!r}")
-    ids, ts, xs = [], [], []
-    for d in demands:
-        if not (isinstance(d, Demand) and is_count(d.id) and is_number(d.t_arr)
-                and is_number(d.x)):
-            raise ContractViolationError(
-                f"demand record {d!r} must be a Demand with a count id and finite t_arr and x")
-        ids.append(d.id)
-        ts.append(float(d.t_arr))
-        xs.append(float(d.x))
-    if len(set(ids)) != len(ids):
-        raise ContractViolationError("demand ids must be unique")
-    return ids, ts, xs
+        raise ContractViolationError(f"vehicle must sit on the deadline y={L}, got y={vehicle.y}")
 
 
 def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> ReachGraph:
@@ -84,15 +62,14 @@ def build_reach_graph(vehicle: VehicleState, demands, v: float, L: float) -> Rea
     duplicate (t, x) pair only from the smaller id to the larger; source
     edge to i iff the vehicle can reach abscissa x_i by the demand's
     deadline.  The plan is the one NCLP and LP follow from this vehicle
-    state: a longest source-rooted path of these edges.
+    state: a longest source-rooted path of these edges.  Checks as
+    longest_chain_fast does.
     """
     _check_regime_and_state(vehicle, v, L)
-    ids, ts, xs = _columns(demands)
-    plan = _chain_plan(vehicle, ids, ts, xs, L / v)         # refuses an escaped demand
-    topo = sorted(range(len(ids)), key=lambda k: (ts[k], ids[k]))
-    ids = [ids[k] for k in topo]
-    ts = np.array([ts[k] for k in topo])
-    xs = np.array([xs[k] for k in topo])
+    ts, xs, ids = _read_demands(demands)
+    plan = _chain_plan(vehicle, ts, xs, ids, L / v)         # refuses an escaped demand
+    topo = np.lexsort((ids, ts))
+    ids, ts, xs = ids[topo].tolist(), ts[topo], xs[topo]
 
     src_mask = np.abs(vehicle.x - xs) <= ts + L / v - vehicle.t
     edges: dict[int, list[int]] = {}
@@ -119,17 +96,19 @@ def longest_chain_fast(vehicle: VehicleState, demands, v: float, L: float) -> Pa
     the virtual pair built from (t0 - L/v, X).  Reachability from the source
     propagates along edges, so filtering to source-reachable demands and
     taking the longest coordinate-wise nondecreasing chain gives exactly the
-    longest-path length.
+    longest-path length.  demands, Demand records in any time order, pass
+    `DemandStream`'s reader, `core._columns`, with no order or range check:
+    count ids, unique, and finite numbers for t_arr and x, not bools.
     """
     _check_regime_and_state(vehicle, v, L)
-    return _chain_plan(vehicle, *_columns(demands), L / v)
+    return _chain_plan(vehicle, *_read_demands(demands), L / v)
 
 
-def _chain_plan(vehicle: VehicleState, ids, ts, xs, l_v: float) -> PathPlan:
-    """longest_chain_fast's PathPlan over the columns (ids, ts, xs)."""
+def _chain_plan(vehicle: VehicleState, ts, xs, ids, l_v: float) -> PathPlan:
+    """longest_chain_fast's PathPlan over the arrays (ts, xs, ids)."""
     chain = _chain(vehicle.x, vehicle.t, range(len(ids)), _chain_columns(ts, xs, ids, l_v))
-    return PathPlan(order=[ids[k] for k in chain],
-                    capture_times=[ts[k] + l_v for k in chain], length=len(chain))
+    return PathPlan(order=ids[chain].tolist(), capture_times=(ts[chain] + l_v).tolist(),
+                    length=len(chain))
 
 
 def _chain_columns(t_arr, xs, ids, l_v: float) -> tuple:
@@ -207,6 +186,8 @@ def _chain(x: float, t_now: float, ks, cols: tuple) -> list[int]:
 
 def graph_to_dict(graph: ReachGraph) -> dict:
     """JSON-friendly dump of a graph plus its plan (CLI, goldens)."""
+    if not isinstance(graph, ReachGraph):
+        raise ParameterDomainError(f"expected a ReachGraph, got {graph!r}")
     plan = graph.plan
     return {
         "source": {"x": graph.source.x, "y": graph.source.y, "t": graph.source.t},

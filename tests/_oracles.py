@@ -3,20 +3,23 @@
 Each oracle recomputes a quantity by a different method than the package
 (brute force, exhaustive enumeration, exact rational arithmetic) so that
 agreement is evidence rather than tautology.  `lattice_stream` draws the
-small streams the property tests run them on.  The definitions the package
-only needs as checks live here too: demand positions and region counts,
-the reachability predicate and the deadline edge relation, the graph DP
-`longest_path` that checks the chain planner, `chain_reference`, that
-planner in pure Python, `tour`, the closed tour built from emhp_heuristic,
-and `ReferenceKernel`, a naive event kernel that the policies can run on in
-place of `_EventKernel`, `gp_stepwise`, GP with one capture per plan run on
-it, and `tf_reference` with its `tf_sweep`, TF by the rules its docstring
-states, run on it too.
+small streams the property tests run them on, and
+`stream_columns_reference` and `reach_columns_reference` walk demand
+records one at a time, as the stream and the planners once did.  The
+definitions the package only needs as checks live here too: demand
+positions and region counts, the reachability predicate and the deadline
+edge relation, the graph DP `longest_path` that checks the chain planner,
+`chain_reference`, that planner in pure Python, `tour`, the closed tour
+built from emhp_heuristic, and `ReferenceKernel`, a naive event kernel
+that the policies can run on in place of `_EventKernel`, `gp_stepwise`, GP
+with one capture per plan run on it, and `tf_reference` with its
+`tf_sweep`, TF by the rules its docstring states, run on it too.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from fractions import Fraction
 from itertools import permutations, takewhile
 
@@ -27,6 +30,7 @@ from guardsim import (ContractViolationError, Demand, DemandStream, ParameterDom
                       PathPlan, RegimeError, RunResult, TraceEvent, build_reach_graph,
                       emhp_heuristic, tmhp)
 from guardsim.deadline_policies import _check_start, _run
+from guardsim.errors import is_count, is_number
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +46,79 @@ def lattice_stream(data, env, max_size=8, min_size=0):
                             min_size=len(ks), max_size=len(ks)))
     return DemandStream(env, 0, [Demand(i, 0.5 * k, 0.5 * x)
                                  for i, (k, x) in enumerate(zip(ks, xs))])
+
+
+# ---------------------------------------------------------------------------
+# demand records
+
+
+def stream_columns_reference(env, demands):
+    """The columns (ids, t_arr, x) of `DemandStream(env, seed, demands)`, by
+    the stream's former walk over its records, one at a time: the oracle of
+    its messages.  Record by record it checks the type, the id, the arrival
+    time against the previous one, the abscissa against [0, W] and then
+    that both are numbers, not bools; after the walk, a first arrival
+    below 0 and repeated ids.  It raises ContractViolationError at the
+    first failure."""
+    if not isinstance(demands, list):
+        if isinstance(demands, (str, bytes)) or not hasattr(demands, "__iter__"):
+            raise ContractViolationError(
+                f"demands must be an iterable of Demand records, got {demands!r}")
+        demands = list(demands)
+    ids, ts, xs = [], [], []
+    prev = -math.inf
+    for d in demands:
+        if not isinstance(d, Demand):
+            raise ContractViolationError(f"demand record {d!r} is not a Demand")
+        i, t, x = d.id, d.t_arr, d.x
+        if not is_count(i):
+            raise ContractViolationError(f"demand id {i!r} must be an int in [0, sys.maxsize]")
+        try:
+            if not prev < t <= sys.float_info.max:
+                if not abs(t) <= sys.float_info.max:
+                    raise ContractViolationError(f"demand {i}: arrival time {t} is not finite")
+                raise ContractViolationError(
+                    f"demand {i}: arrival times must be strictly increasing")
+            prev = t
+            if not 0.0 <= x <= env.W:
+                raise ContractViolationError(f"demand {i}: abscissa {x} outside [0, {env.W}]")
+            if not (is_number(t) and is_number(x)):
+                raise TypeError
+        except TypeError:
+            raise ContractViolationError(f"demand {i}: arrival time {t!r} "
+                                         f"and abscissa {x!r} must be numbers") from None
+        ids.append(i)
+        ts.append(float(t) + 0.0)
+        xs.append(float(x) + 0.0)
+    if ts and ts[0] < 0.0:
+        raise ContractViolationError(
+            f"demand {ids[0]}: arrival time {demands[0].t_arr} is negative")
+    if len(set(ids)) != len(ids):
+        raise ContractViolationError("demand ids must be unique")
+    return ids, ts, xs
+
+
+def reach_columns_reference(demands):
+    """(ids, t_arr, x) of the demands handed to `longest_chain_fast` and
+    `build_reach_graph`, by their former walk over the records: the oracle
+    of what they accept.  Each must be a Demand with a count id and finite
+    numbers t_arr and x, in any time order, and the ids unique; the times
+    and abscissae keep their sign of zero."""
+    if isinstance(demands, (str, bytes)) or not hasattr(demands, "__iter__"):
+        raise ContractViolationError(
+            f"demands must be an iterable of Demand records, got {demands!r}")
+    ids, ts, xs = [], [], []
+    for d in demands:
+        if not (isinstance(d, Demand) and is_count(d.id) and is_number(d.t_arr)
+                and is_number(d.x)):
+            raise ContractViolationError(
+                f"demand record {d!r} must be a Demand with a count id and finite t_arr and x")
+        ids.append(d.id)
+        ts.append(float(d.t_arr))
+        xs.append(float(d.x))
+    if len(set(ids)) != len(ids):
+        raise ContractViolationError("demand ids must be unique")
+    return ids, ts, xs
 
 
 # ---------------------------------------------------------------------------

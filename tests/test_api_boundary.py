@@ -3,12 +3,16 @@ library, one argument at a time: `DemandStream(env, seed, demands)`,
 `longest_chain_fast`, `build_reach_graph`, `g_map`, `g_inv`,
 `intercept_time`, `emhp_exact`, `emhp_heuristic`, `TmhpInstance` ->
 `tmhp_solve`, the stream and the start of each policy run and LP's eta,
-`write_trace_jsonl`'s result, and each field of an `ExperimentSpec` run
+`write_trace_jsonl`'s result, the stream of `write_stream_jsonl`, the path
+of `read_stream_jsonl`, the rows and a row of `sweep_csv` and `sweep_svg`,
+the graph of `graph_to_dict`, and each field of an `ExperimentSpec` run
 through `sweep` return normally or raise a `guardsim.errors` exception,
 never a bare TypeError, AttributeError or the like.  `monte_carlo` and
-`sweep` refuse anything but an `ExperimentSpec` with a
+`sweep` refuse anything but an `ExperimentSpec`, and the writers and the
+stream reader what they cannot write or read, with a
 ParameterDomainError."""
 import dataclasses
+import io
 import math
 import os
 import sys
@@ -20,8 +24,9 @@ from hypothesis import strategies as st
 from guardsim import (ContractViolationError, Demand, DemandStream, ExperimentSpec,
                       ParameterDomainError, RegimeError, SizeLimitError, TmhpInstance,
                       VehicleState, build_reach_graph, emhp_exact, emhp_heuristic, g_inv,
-                      g_map, intercept_time, longest_chain_fast, make_env, monte_carlo,
-                      run_gp, run_lp, run_nclp, run_tf, sweep, tmhp_solve, write_trace_jsonl)
+                      g_map, graph_to_dict, intercept_time, longest_chain_fast, make_env,
+                      monte_carlo, read_stream_jsonl, run_gp, run_lp, run_nclp, run_tf, sweep,
+                      sweep_csv, sweep_svg, tmhp_solve, write_stream_jsonl, write_trace_jsonl)
 
 GUARDSIM_ERRORS = (ContractViolationError, ParameterDomainError, RegimeError, SizeLimitError)
 
@@ -171,6 +176,12 @@ RUNS = {
     "run_gp stream": run_gp,
     "run_tf stream": run_tf,
     "write_trace_jsonl result": lambda value: write_trace_jsonl(value, os.devnull),
+    "write_stream_jsonl stream": lambda value: write_stream_jsonl(value, io.StringIO()),
+    "sweep_csv rows": sweep_csv,
+    "sweep_csv row": lambda value: sweep_csv([value]),
+    "sweep_svg rows": sweep_svg,
+    "sweep_svg row": lambda value: sweep_svg([value]),
+    "graph_to_dict graph": graph_to_dict,
     "run_nclp start_x": lambda value: run_nclp(DEADLINE_STREAM, start_x=value),
     "run_lp start_x": lambda value: run_lp(DEADLINE_STREAM, start_x=value),
     "run_gp start_x": lambda value: run_gp(DEADLINE_STREAM, start_x=value),
@@ -200,3 +211,28 @@ def test_sweep_with_a_malformed_spec_field(data, value, spec):
 def test_harness_refuses_what_is_not_a_spec(value, fn):
     with pytest.raises(ParameterDomainError, match="ExperimentSpec"):
         fn(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=MALFORMED.filter(lambda v: not isinstance(v, str)))
+def test_read_stream_jsonl_refuses_what_is_not_a_path(value):
+    # a text is a path, and a missing file stays the OSError the CLI reports
+    with pytest.raises(ParameterDomainError, match="path must be a file path"):
+        read_stream_jsonl(value)
+
+
+def test_read_stream_jsonl_of_a_missing_file_raises_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_stream_jsonl(str(tmp_path / "missing.jsonl"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: write_stream_jsonl(None, io.StringIO()), lambda: read_stream_jsonl(None),
+    lambda: sweep_csv(None), lambda: sweep_csv([None]), lambda: sweep_svg([None]),
+    lambda: graph_to_dict(None)],
+    ids=["write_stream_jsonl", "read_stream_jsonl", "sweep_csv rows", "sweep_csv row",
+         "sweep_svg row", "graph_to_dict"])
+def test_writers_and_the_stream_reader_refuse_none(call):
+    # each once failed deep inside with an AttributeError or a TypeError
+    with pytest.raises(ParameterDomainError):
+        call()

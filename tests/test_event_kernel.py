@@ -561,6 +561,35 @@ def _check_commit_contract(trace):
     assert _kernel_state(sim) == before
 
 
+COMMIT_ENV = make_env(W=120.0, L=500.0, v=2.0, lam=1.0)      # L/v = 250, start x = 60
+
+
+def _vehicle_at_arrivals(sim):
+    return [e.vehicle_x for e in sim.finish().trace if e.event == "arrival"]
+
+
+@pytest.mark.parametrize("kernel", [_EventKernel, ReferenceKernel])
+def test_a_direct_commit_traces_from_its_own_place(kernel):
+    # no recompute at the commit's (t, x) comes first, so the log's last
+    # entry is the start (or another place): the leg into the first
+    # capture starts where the commit says the vehicle is, at t, as on the
+    # reference kernel (it once started at the last entry, 59.0 here)
+    sim = kernel(DemandStream(COMMIT_ENV, 0, [Demand(0, 1.0, 50.0)]), None, True)
+    sim.commit([0], 1.0, 50.0)
+    assert _vehicle_at_arrivals(sim) == [50.0]
+    s = DemandStream(COMMIT_ENV, 0, [Demand(0, 0.5, 40.0), Demand(1, 1.0, 50.0),
+                                     Demand(2, 3.0, 70.0)])
+    for recompute in (False, True):
+        sim = kernel(s, None, True)
+        if recompute:
+            sim.recompute(0.2, 55.0)
+        sim.commit([1], 1.0, 50.0)
+        # the arrival at 0.5, before the commit's t, lies on the leg's line
+        # back in time (59.5, 59.0 and 57.0 from the start, 54.7, 54.2 and
+        # 52.2 from the recompute, when legs started at the last entry)
+        assert _vehicle_at_arrivals(sim) == [49.5, 50.0, 50.0]
+
+
 STRIP_CONTRACT_ENV = make_env(W=10.0, L=2.0, v=0.5, lam=1.0)     # L/v = 4
 
 
